@@ -8,7 +8,8 @@
 //! * **Back-pressure** — the ring is bounded; an [`OverloadPolicy`]
 //!   decides what a full ring does to a submission: `Block` (lossless,
 //!   the default), `ShedNewest` (drop the submission) or `ShedOldest`
-//!   (drop the stalest queued frame). Every shed is counted in
+//!   (drop the stalest queued frame, or the submission when none is
+//!   queued). Every shed is counted in
 //!   [`EngineHealth::frames_shed`] and reconciles exactly against the
 //!   conservation law ([`EngineHealth::conserves`]).
 //! * **Panic isolation** — the worker wraps the window sweep in
@@ -33,10 +34,29 @@
 //!   calling `observe` synchronously — a property test pins this for
 //!   both engines.
 //!
-//! The ring is the `sync_channel.rs`/`state.rs` split the roadmap
-//! planned: all queue state and policy lives in [`state`], the blocking
-//! facade in [`sync_channel`], so an async facade can wrap the same
-//! state later without touching core.
+//! # The hand-off
+//!
+//! All queue state and policy lives in [`state`]; submitters and the
+//! worker call it directly.
+//!
+//! * **Batch drain** — the worker takes every queued ticket in one lock
+//!   acquisition (the ring's buffer and the worker's empty one swap, so
+//!   nothing is allocated) and processes them from a local batch. The
+//!   batch is owned by the supervisor, so a panic mid-batch quarantines
+//!   only the in-flight ticket and the rest of the batch still runs.
+//! * **Wake on demand** — the ring counts parked threads and signals
+//!   only when one is parked, so an uncontended submit or drain makes
+//!   no wake-up system call.
+//! * **In flight counts toward the bound** — drained tickets hold
+//!   their [`IngestConfig::capacity`] slots until the worker comes back
+//!   for its next batch, so queued plus in-flight frames never exceed
+//!   the capacity.
+//! * **Per-batch bookkeeping** — latency counters are published, and
+//!   tickets that produced no events are advanced past in the
+//!   sequencer, once per batch. A ticket *with* events is inserted at
+//!   once, so a decision is delivered as soon as it exists. An
+//!   [`IngestPipeline::stats`] snapshot can therefore lag the worker by
+//!   at most one batch.
 //!
 //! # Chaos probes
 //!
@@ -78,7 +98,6 @@
 //! ```
 
 pub mod state;
-pub(crate) mod sync_channel;
 
 pub use state::EventSequencer;
 
@@ -86,15 +105,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
 
-use self::state::{PopOutcome, PushOutcome, RingState, Ticket};
-use self::sync_channel::{channel, SyncReceiver, SyncSender};
+use self::state::{DrainOutcome, PushOutcome, RingState, Ticket};
 use super::resilience::EngineHealth;
 use super::{Engine, EngineError, Event, MultiEngine, MultiEvent};
 
@@ -112,16 +130,19 @@ pub enum OverloadPolicy {
     /// counted, the submitter never blocks. Keeps stale queued frames —
     /// prefer when earlier frames carry more decision value.
     ShedNewest,
-    /// Shed the stalest queued frame to make room for the submission.
-    /// Keeps the stream fresh under sustained overload — the classic
-    /// monitor ring-buffer behaviour.
+    /// Shed the stalest *queued* frame to make room for the submission,
+    /// or the submission itself when none is queued (the worker's batch
+    /// holds the whole capacity). Keeps the stream fresh under sustained
+    /// overload — the classic monitor ring-buffer behaviour.
     ShedOldest,
 }
 
 /// Configuration of a supervised [`IngestPipeline`].
 #[derive(Clone, Copy)]
 pub struct IngestConfig {
-    /// Ring capacity in frames (default 1024; clamped to at least 1).
+    /// Ring capacity in frames, queued plus in flight: tickets the
+    /// worker has drained hold their slots until it comes back for its
+    /// next batch (default 1024; clamped to at least 1).
     pub capacity: usize,
     /// Full-ring policy (default [`OverloadPolicy::Block`]).
     pub overload: OverloadPolicy,
@@ -361,11 +382,14 @@ impl Quarantine {
 }
 
 /// A point-in-time snapshot of the pipeline-level counters, readable
-/// while the worker is still running ([`IngestPipeline::stats`]).
+/// while the worker is still running ([`IngestPipeline::stats`]). The
+/// worker publishes its latency counters once per batch, so a snapshot
+/// taken mid-batch lags it by at most one batch; the terminal snapshot
+/// in [`IngestReport::stats`] is exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct IngestStats {
-    /// Frames submitted to the ring.
+    /// Frames submitted to the ring while open (enqueued or shed).
     pub submitted: u64,
     /// Frames shed by the overload policy.
     pub shed: u64,
@@ -375,7 +399,8 @@ pub struct IngestStats {
     pub worker_restarts: u64,
     /// Watchdog deadline expiries that drove a `tick`.
     pub watchdog_ticks: u64,
-    /// Frames currently queued in the ring.
+    /// Frames holding ring capacity: queued, plus drained into the
+    /// worker's current batch and not yet returned.
     pub ring_pending: u64,
     /// Sum of enqueue→processed latency over all processed frames, in
     /// nanoseconds.
@@ -410,10 +435,9 @@ impl IngestStats {
 }
 
 /// Pipeline-level counters, shared between submitters, the worker and
-/// snapshot readers.
+/// snapshot readers (the submission count lives in the ring).
 #[derive(Debug, Default)]
 struct SharedStats {
-    submitted: AtomicU64,
     shed: AtomicU64,
     quarantined: AtomicU64,
     worker_restarts: AtomicU64,
@@ -430,7 +454,7 @@ struct SharedStats {
 /// Everything the producer facades and the worker share.
 #[derive(Debug)]
 struct PipelineShared<T> {
-    sender: SyncSender,
+    ring: RingState,
     sequencer: Mutex<EventSequencer<T>>,
     quarantine: Mutex<Quarantine>,
     stats: SharedStats,
@@ -443,8 +467,9 @@ pub enum SubmitOutcome {
     Enqueued,
     /// [`OverloadPolicy::ShedNewest`]: the submitted frame was shed.
     ShedNewest,
-    /// [`OverloadPolicy::ShedOldest`]: the frame was enqueued and the
-    /// stalest queued frame was shed to make room.
+    /// [`OverloadPolicy::ShedOldest`]: a frame was shed to make room —
+    /// the stalest queued one, or the submission itself when none was
+    /// queued.
     ShedOldest,
 }
 
@@ -478,21 +503,16 @@ fn submit_shared<T>(
     shared: &PipelineShared<T>,
     frame: &CapturedFrame,
 ) -> Result<SubmitOutcome, EngineError> {
-    match shared.sender.send(frame) {
-        PushOutcome::Enqueued { .. } => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-            Ok(SubmitOutcome::Enqueued)
-        }
+    match shared.ring.push(frame) {
+        PushOutcome::Enqueued => Ok(SubmitOutcome::Enqueued),
         PushOutcome::ShedNewest { seq } => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shared.sequencer.lock().expect("sequencer lock").close_gap(seq);
+            shared.sequencer().close_gap(seq);
             Ok(SubmitOutcome::ShedNewest)
         }
-        PushOutcome::ShedOldest { dropped, .. } => {
-            shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        PushOutcome::ShedOldest { dropped } => {
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            shared.sequencer.lock().expect("sequencer lock").close_gap(dropped.seq);
+            shared.sequencer().close_gap(dropped.seq);
             Ok(SubmitOutcome::ShedOldest)
         }
         PushOutcome::Closed => Err(EngineError::Finished),
@@ -549,10 +569,8 @@ impl<E: StreamEngine> IngestPipeline<E> {
     /// [`EngineError::Supervisor`] when the worker thread cannot be
     /// spawned.
     pub fn spawn(engine: E, cfg: IngestConfig) -> Result<Self, EngineError> {
-        let ring = Arc::new(RingState::new(cfg.capacity, cfg.overload));
-        let (sender, receiver) = channel(ring);
         let shared = Arc::new(PipelineShared {
-            sender,
+            ring: RingState::new(cfg.capacity, cfg.overload),
             sequencer: Mutex::new(EventSequencer::new()),
             quarantine: Mutex::new(Quarantine::new(cfg.quarantine_capacity)),
             stats: SharedStats::default(),
@@ -563,9 +581,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
         let probe = cfg.panic_probe;
         let worker = std::thread::Builder::new()
             .name("wifiprint-ingest".to_owned())
-            .spawn(move || {
-                supervise(engine, &worker_shared, &receiver, stall_timeout, sweep_delay, probe)
-            })
+            .spawn(move || supervise(engine, &worker_shared, stall_timeout, sweep_delay, probe))
             .map_err(|e| EngineError::Supervisor { reason: format!("spawn worker: {e}") })?;
         Ok(IngestPipeline { shared, worker: Some(worker) })
     }
@@ -594,28 +610,31 @@ impl<E: StreamEngine> IngestPipeline<E> {
     /// If the sequencer lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
     pub fn drain_events(&self) -> Vec<E::Event> {
-        self.shared.sequencer.lock().expect("sequencer lock").drain_ready()
+        self.shared.sequencer().drain_ready()
     }
 
-    /// A snapshot of the pipeline counters.
+    /// A snapshot of the pipeline counters; the worker's latency
+    /// counters lag it by at most one batch.
+    ///
+    /// # Panics
+    ///
+    /// If the ring lock is poisoned — impossible in practice, no code
+    /// that can panic runs under it.
     #[must_use]
     pub fn stats(&self) -> IngestStats {
         let s = &self.shared.stats;
+        let (submitted, ring_pending) = self.shared.ring.counts();
         IngestStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
+            submitted,
             shed: s.shed.load(Ordering::Relaxed),
             quarantined: s.quarantined.load(Ordering::Relaxed),
             worker_restarts: s.worker_restarts.load(Ordering::Relaxed),
             watchdog_ticks: s.watchdog_ticks.load(Ordering::Relaxed),
-            ring_pending: self.ring_len() as u64,
+            ring_pending: ring_pending as u64,
             latency_ns_sum: s.latency_ns_sum.load(Ordering::Relaxed),
             latency_samples: s.latency_samples.load(Ordering::Relaxed),
             latency_max_ns: s.latency_max_ns.load(Ordering::Relaxed),
         }
-    }
-
-    fn ring_len(&self) -> usize {
-        self.shared.sender.len()
     }
 
     /// The retained quarantined frames so far (clone; the worker keeps
@@ -644,7 +663,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     /// If an internal lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
     pub fn finish(mut self) -> Result<IngestReport<E>, EngineError> {
-        self.shared.sender.close();
+        self.shared.ring.close();
         let worker = self.worker.take().expect("finish consumes the only owner");
         let engine = worker.join().map_err(|_| EngineError::Supervisor {
             reason: "ingest worker died outside its panic isolation".to_owned(),
@@ -672,39 +691,79 @@ impl<E: StreamEngine> Drop for IngestPipeline<E> {
         // ring and wait for the drain. `finish()` takes the handle, so
         // this only runs for pipelines dropped without finishing.
         if let Some(worker) = self.worker.take() {
-            self.shared.sender.close();
+            self.shared.ring.close();
             let _ = worker.join();
         }
     }
 }
 
+/// The worker's current batch and its deferred bookkeeping. Owned by
+/// [`supervise`], so everything in it survives a panic unwinding out of
+/// [`worker_loop`]: the supervisor quarantines the in-flight ticket and
+/// the worker resumes with the rest of the batch.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Drained tickets not yet processed, oldest first.
+    tickets: VecDeque<Ticket>,
+    /// Tickets the last drain handed over — the ring capacity given back
+    /// at the next drain.
+    taken: usize,
+    /// The ticket being processed, plus the engine-core frame count
+    /// before its observe — read after an unwind, so the supervisor knows
+    /// what to quarantine and whether the core counted the doomed frame.
+    inflight: Option<(Ticket, u64)>,
+    /// Processed tickets that produced no events, not yet advanced past
+    /// in the sequencer.
+    empty: Vec<u64>,
+    latency_ns_sum: u64,
+    latency_samples: u64,
+    latency_max_ns: u64,
+}
+
+impl Batch {
+    fn record_latency(&mut self, latency_ns: u64) {
+        self.latency_ns_sum += latency_ns;
+        self.latency_samples += 1;
+        self.latency_max_ns = self.latency_max_ns.max(latency_ns);
+    }
+
+    /// Publishes the deferred sequencer advances and latency counters.
+    fn flush<T>(&mut self, shared: &PipelineShared<T>) {
+        if !self.empty.is_empty() {
+            shared.sequencer().advance_empty(self.empty.drain(..));
+        }
+        if self.latency_samples > 0 {
+            let stats = &shared.stats;
+            stats.latency_ns_sum.fetch_add(self.latency_ns_sum, Ordering::Relaxed);
+            stats.latency_samples.fetch_add(self.latency_samples, Ordering::Relaxed);
+            stats.latency_max_ns.fetch_max(self.latency_max_ns, Ordering::Relaxed);
+            (self.latency_ns_sum, self.latency_samples, self.latency_max_ns) = (0, 0, 0);
+        }
+    }
+}
+
+impl<T> PipelineShared<T> {
+    fn sequencer(&self) -> MutexGuard<'_, EventSequencer<T>> {
+        self.sequencer.lock().expect("sequencer lock")
+    }
+}
+
 /// The supervision loop: runs the worker under `catch_unwind`; on a
 /// panic, quarantines the in-flight frame (with the panic message),
-/// counts a restart, and re-enters the worker around the same engine.
-/// Returns the engine once the ring is closed and drained.
+/// counts a restart, and re-enters the worker around the same engine and
+/// the rest of the same batch. Returns the engine once the ring is
+/// closed and drained.
 fn supervise<E: StreamEngine>(
     mut engine: E,
-    shared: &Arc<PipelineShared<E::Event>>,
-    receiver: &SyncReceiver,
+    shared: &PipelineShared<E::Event>,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
 ) -> E {
-    // The in-flight ticket, plus the engine-core frame count before its
-    // observe — readable after an unwind, so the supervisor knows what
-    // to quarantine and whether the core counted the doomed frame.
-    let inflight: std::cell::Cell<Option<(Ticket, u64)>> = std::cell::Cell::new(None);
+    let mut batch = Batch::default();
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(
-                &mut engine,
-                shared,
-                receiver,
-                &inflight,
-                stall_timeout,
-                sweep_delay,
-                probe,
-            );
+            worker_loop(&mut engine, shared, &mut batch, stall_timeout, sweep_delay, probe);
         }));
         match run {
             Ok(()) => return engine,
@@ -712,7 +771,7 @@ fn supervise<E: StreamEngine>(
                 // `as_ref`, not `&payload`: coercing `&Box<dyn Any>`
                 // would downcast against the Box itself and never match.
                 let reason = panic_message(payload.as_ref());
-                if let Some((ticket, observed_before)) = inflight.take() {
+                if let Some((ticket, observed_before)) = batch.inflight.take() {
                     let double_counted =
                         engine.frames_observed().saturating_sub(observed_before);
                     shared
@@ -737,7 +796,7 @@ fn quarantine_frame<T>(shared: &PipelineShared<T>, ticket: Ticket, reason: Strin
         .lock()
         .expect("quarantine lock")
         .push(Quarantined { seq: ticket.seq, frame: ticket.frame, reason });
-    shared.sequencer.lock().expect("sequencer lock").close_gap(ticket.seq);
+    shared.sequencer().close_gap(ticket.seq);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -750,75 +809,62 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker proper: pops tickets, drives the engine, feeds the
-/// sequencer. Runs until the ring is closed and drained; panics unwind
-/// to [`supervise`].
-#[allow(clippy::too_many_lines)]
+/// The worker proper: processes the current batch, then drains the next
+/// one from the ring, driving the engine and feeding the sequencer. Runs
+/// until the ring is closed and drained; panics unwind to
+/// [`supervise`].
 fn worker_loop<E: StreamEngine>(
     engine: &mut E,
-    shared: &Arc<PipelineShared<E::Event>>,
-    receiver: &SyncReceiver,
-    inflight: &std::cell::Cell<Option<(Ticket, u64)>>,
+    shared: &PipelineShared<E::Event>,
+    batch: &mut Batch,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
 ) {
     loop {
-        match receiver.recv_timeout(stall_timeout) {
-            PopOutcome::Item(ticket) => {
-                inflight.set(Some((ticket, engine.frames_observed())));
-                if !sweep_delay.is_zero() {
-                    std::thread::sleep(sweep_delay);
-                }
-                assert!(
-                    !probe.is_some_and(|p| p(&ticket.frame)),
-                    "chaos probe: poison frame at {} ns",
-                    ticket.frame.t_end.as_nanos()
-                );
-                let outcome = engine.observe(&ticket.frame);
-                let latency = ticket.enqueued.elapsed().as_nanos() as u64;
-                shared.stats.latency_ns_sum.fetch_add(latency, Ordering::Relaxed);
-                shared.stats.latency_samples.fetch_add(1, Ordering::Relaxed);
-                shared.stats.latency_max_ns.fetch_max(latency, Ordering::Relaxed);
-                match outcome {
-                    Ok(events) => {
-                        inflight.set(None);
-                        shared
-                            .sequencer
-                            .lock()
-                            .expect("sequencer lock")
-                            .insert(ticket.seq, events);
-                    }
-                    Err(e) => {
-                        inflight.set(None);
-                        quarantine_frame(shared, ticket, e.to_string());
-                    }
-                }
+        while let Some(ticket) = batch.tickets.pop_front() {
+            batch.inflight = Some((ticket, engine.frames_observed()));
+            if !sweep_delay.is_zero() {
+                std::thread::sleep(sweep_delay);
             }
-            PopOutcome::TimedOut => {
+            assert!(
+                !probe.is_some_and(|p| p(&ticket.frame)),
+                "chaos probe: poison frame at {} ns",
+                ticket.frame.t_end.as_nanos()
+            );
+            let outcome = engine.observe(&ticket.frame);
+            batch.inflight = None;
+            batch.record_latency(ticket.enqueued.elapsed().as_nanos() as u64);
+            match outcome {
+                Ok(events) if events.is_empty() => batch.empty.push(ticket.seq),
+                Ok(events) => {
+                    let mut sequencer = shared.sequencer();
+                    sequencer.advance_empty(batch.empty.drain(..));
+                    sequencer.insert(ticket.seq, events);
+                }
+                Err(e) => quarantine_frame(shared, ticket, e.to_string()),
+            }
+        }
+        batch.flush(shared);
+        let done = std::mem::take(&mut batch.taken);
+        match shared.ring.drain(done, &mut batch.tickets, stall_timeout) {
+            DrainOutcome::Batch => batch.taken = batch.tickets.len(),
+            DrainOutcome::TimedOut => {
                 // Stall watchdog: the source went silent past the
                 // deadline — force the open window's decision so the
                 // stream of decisions stays live.
                 shared.stats.watchdog_ticks.fetch_add(1, Ordering::Relaxed);
-                let seq = receiver.alloc_seq();
+                let seq = shared.ring.alloc_seq();
                 match engine.tick() {
-                    Ok(events) => shared
-                        .sequencer
-                        .lock()
-                        .expect("sequencer lock")
-                        .insert(seq, events),
-                    Err(_) => shared.sequencer.lock().expect("sequencer lock").close_gap(seq),
+                    Ok(events) => shared.sequencer().insert(seq, events),
+                    Err(_) => shared.sequencer().close_gap(seq),
                 }
             }
-            PopOutcome::Closed => {
-                let seq = receiver.alloc_seq();
+            DrainOutcome::Closed => {
+                let seq = shared.ring.alloc_seq();
                 match engine.finish() {
-                    Ok(events) => shared
-                        .sequencer
-                        .lock()
-                        .expect("sequencer lock")
-                        .insert(seq, events),
-                    Err(_) => shared.sequencer.lock().expect("sequencer lock").close_gap(seq),
+                    Ok(events) => shared.sequencer().insert(seq, events),
+                    Err(_) => shared.sequencer().close_gap(seq),
                 }
                 return;
             }
@@ -921,6 +967,40 @@ mod tests {
             assert_eq!(q.frame.size, 0);
         }
         assert!(report.is_reconciled());
+    }
+
+    #[test]
+    fn a_panic_mid_batch_quarantines_only_the_in_flight_ticket() {
+        // The sweep delay holds the worker on frame 0 while the rest
+        // queue up, so the poison frame usually sits inside a batch with
+        // frames after it. The assertions hold for any batch shape.
+        const POISON_AT: usize = 7;
+        let mut frames = stream(40);
+        frames[POISON_AT].size = 0;
+        let clean: Vec<CapturedFrame> =
+            frames.iter().copied().filter(|f| !is_poison(f)).collect();
+        let mut sync = engine(ResilienceConfig::default());
+        let mut want = Vec::new();
+        for f in &clean {
+            want.extend(sync.observe(f).expect("in-order frame"));
+        }
+        want.extend(sync.finish().expect("finish"));
+
+        let cfg = IngestConfig::default()
+            .with_panic_probe(Some(is_poison))
+            .with_sweep_delay(Duration::from_millis(2));
+        let pipeline =
+            IngestPipeline::spawn(engine(ResilienceConfig::default()), cfg).expect("spawn");
+        for f in &frames {
+            pipeline.submit(f).expect("open");
+        }
+        let report = pipeline.finish().expect("survives the panic");
+        assert_eq!(format!("{:?}", report.events), format!("{want:?}"));
+        assert!(report.is_reconciled(), "health: {:?}", report.health);
+        assert_eq!(report.stats.quarantined, 1);
+        assert_eq!(report.quarantine[0].seq, POISON_AT as u64);
+        assert_eq!(report.delivered, frames.len() as u64 - 1);
+        assert_eq!(report.stats.latency_samples, frames.len() as u64 - 1);
     }
 
     #[test]
