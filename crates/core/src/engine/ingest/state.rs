@@ -2,9 +2,9 @@
 //!
 //! All queue state (the ring, the in-flight count, the sequence
 //! counter, the closed flag and the parked-thread counts) lives behind
-//! one mutex in [`RingState`]; the condition variables are the only
-//! blocking primitive. Producers call [`RingState::push`] directly and
-//! the consumer calls [`RingState::drain`]:
+//! one mutex in `RingState`; the condition variables are the only
+//! blocking primitive. Producers call `RingState::push` directly and
+//! the consumer calls `RingState::drain`:
 //!
 //! * **Batch hand-off** — a drain takes *every* queued ticket in one
 //!   lock acquisition by swapping the ring's `VecDeque` with the

@@ -95,7 +95,7 @@
 //! [`linker`] module closes the loop: a [`RotationLinker`] consumes
 //! sightings (an address plus the per-parameter signatures observed
 //! under it — exactly what [`Event::NewDevice`] /
-//! [`MultiEvent::FusedNewDevice`](multi::MultiEvent::FusedNewDevice)
+//! [`MultiEvent::FusedNewDevice`]
 //! carry, see [`RotationLinker::observe_event`] /
 //! [`RotationLinker::observe_multi`]) and chains rotated addresses
 //! back to stable [`IdentityId`]s: exact MAC bindings first

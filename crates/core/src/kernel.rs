@@ -48,11 +48,15 @@
 //!   the validation loop.)
 //! * **Portable**: an 8-way unrolled `u8 → u32` widening loop.
 //!
-//! [`dot_u8_multi`] is the 8×K **register-blocked tile microkernel**
-//! (BLIS-style): one reference-row vector is loaded per chunk and dotted
-//! against up to [`MICRO_TILE`] candidate rows while it sits in a
-//! register, with the K partial sums held in registers across the whole
-//! row — each candidate's dot is written to `out` exactly once.
+//! The quantized *sweeps* do not call these row dots. The tier stores
+//! each block column-major (one column of codes per bin, one lane per
+//! resident slot), and [`dot_u8_columns`] scores one candidate against
+//! every slot of a block at once: for each **non-zero** candidate code
+//! `c_j` it adds `c_j · column_j` into the per-slot sums. Traffic
+//! histograms occupy a handful of their bins, so a sweep reads a few
+//! columns instead of every byte of every row. The loop is safe,
+//! portable code that the compiler vectorises, and its sums are exact,
+//! so every slot's dot is bit-equal to [`dot_u8`] on the gathered row.
 
 // The one sanctioned escape from the crate-wide `deny(unsafe_code)`:
 // SIMD intrinsics are unavoidably unsafe (raw-pointer loads + target
@@ -150,13 +154,6 @@ fn select() -> &'static (KernelKind, DotFn) {
 /// *signed* bytes, which the instruction requires of one side).
 pub const QUANT_MAX: u8 = 127;
 
-/// Width of the register-blocked integer microkernel: how many candidate
-/// rows [`dot_u8_multi`] dots against one reference row per pass. Eight
-/// 256-bit accumulators plus the row/candidate/ones operands fit the
-/// 16-register AVX2 file (and NEON's 32 with room to spare), so the
-/// partial sums never spill across the row.
-pub const MICRO_TILE: usize = 8;
-
 /// Which integer dot kernel the runtime dispatch selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntKernelKind {
@@ -188,12 +185,6 @@ impl std::fmt::Display for IntKernelKind {
 /// Signature of a dispatched integer dot kernel.
 pub type DotU8Fn = fn(&[u8], &[u8]) -> u32;
 
-/// Signature of the dispatched integer tile microkernel:
-/// `(candidate rows packed row-major, reference row, one dot per
-/// candidate)` with `cands.len() == out.len() * row.len()` and
-/// `out.len() <= MICRO_TILE`.
-type DotU8MultiFn = fn(&[u8], &[u8], &mut [u32]);
-
 /// The integer kernel selected for this host.
 pub fn active_int() -> IntKernelKind {
     select_int().0
@@ -207,44 +198,45 @@ pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
     (select_int().1)(a, b)
 }
 
-/// The 8×K register-blocked integer microkernel: dots one reference
-/// `row` against `out.len()` candidate rows packed row-major in `cands`
-/// (`cands.len()` must be `out.len() * row.len()`), writing each
-/// candidate's exact dot once. Tiles wider than [`MICRO_TILE`] are split
-/// into register-sized passes.
-#[inline]
-pub fn dot_u8_multi(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    debug_assert_eq!(cands.len(), row.len() * out.len());
-    let kernel = select_int().2;
-    let bins = row.len();
-    let mut offset = 0usize;
-    for chunk in out.chunks_mut(MICRO_TILE) {
-        let span = chunk.len() * bins;
-        kernel(&cands[offset..offset + span], row, chunk);
-        offset += span;
+/// Exact integer dots of one candidate code row against every slot of a
+/// column-major `u8` block: `cols[j * cap + s]` is bin `j` of slot `s`,
+/// `cand.len()` bins of `cap` lanes each, and `out.len() <= cap` slots
+/// are scored. Each `out[s]` is overwritten with `Σ_j cand[j] · cols[j *
+/// cap + s]`, accumulated one non-zero candidate code at a time, so the
+/// cost scales with the candidate's occupied bins, not its width. The
+/// sums are exact, so `out[s]` equals [`dot_u8`] of `cand` and slot `s`'s
+/// gathered row bit for bit.
+pub fn dot_u8_columns(cand: &[u8], cols: &[u8], cap: usize, out: &mut [u32]) {
+    debug_assert_eq!(cols.len(), cand.len() * cap);
+    debug_assert!(out.len() <= cap);
+    out.fill(0);
+    let slots = out.len();
+    if slots == 0 {
+        return;
+    }
+    for (&code, col) in cand.iter().zip(cols.chunks_exact(cap)) {
+        if code == 0 {
+            continue;
+        }
+        let code = u32::from(code);
+        for (dot, &x) in out.iter_mut().zip(&col[..slots]) {
+            *dot += code * u32::from(x);
+        }
     }
 }
 
-fn select_int() -> &'static (IntKernelKind, DotU8Fn, DotU8MultiFn) {
-    static SELECTED: OnceLock<(IntKernelKind, DotU8Fn, DotU8MultiFn)> = OnceLock::new();
+fn select_int() -> &'static (IntKernelKind, DotU8Fn) {
+    static SELECTED: OnceLock<(IntKernelKind, DotU8Fn)> = OnceLock::new();
     SELECTED.get_or_init(|| {
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return (
-                IntKernelKind::Avx2Maddubs,
-                dot_u8_avx2_entry as DotU8Fn,
-                dot_u8_multi_avx2_entry as DotU8MultiFn,
-            );
+            return (IntKernelKind::Avx2Maddubs, dot_u8_avx2_entry as DotU8Fn);
         }
         #[cfg(target_arch = "aarch64")]
         if std::arch::is_aarch64_feature_detected!("neon") {
-            return (
-                IntKernelKind::NeonWiden,
-                dot_u8_neon_entry as DotU8Fn,
-                dot_u8_multi_neon_entry as DotU8MultiFn,
-            );
+            return (IntKernelKind::NeonWiden, dot_u8_neon_entry as DotU8Fn);
         }
-        (IntKernelKind::Portable, dot_u8_portable as DotU8Fn, dot_u8_multi_portable as DotU8MultiFn)
+        (IntKernelKind::Portable, dot_u8_portable as DotU8Fn)
     })
 }
 
@@ -486,14 +478,6 @@ pub fn dot_u8_portable(a: &[u8], b: &[u8]) -> u32 {
     total
 }
 
-/// Portable microkernel fallback: one exact dot per candidate row.
-fn dot_u8_multi_portable(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    let bins = row.len();
-    for (j, dot) in out.iter_mut().enumerate() {
-        *dot = dot_u8_portable(&cands[j * bins..(j + 1) * bins], row);
-    }
-}
-
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 fn dot_u8_avx2_entry(a: &[u8], b: &[u8]) -> u32 {
     // SAFETY: this entry is only installed in the dispatch table after
@@ -586,75 +570,6 @@ unsafe fn hsum_epi32(v: __m256i) -> u32 {
     _mm_cvtsi128_si32(s1) as u32
 }
 
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-fn dot_u8_multi_avx2_entry(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    debug_assert!(out.len() <= MICRO_TILE);
-    // Monomorphise on the tile width so the K accumulators live in
-    // registers (a runtime-bounded loop would spill them to the stack).
-    // SAFETY: only installed after AVX2 detection.
-    unsafe {
-        match out.len() {
-            0 => {}
-            1 => dot_u8_multi_avx2::<1>(cands, row, out),
-            2 => dot_u8_multi_avx2::<2>(cands, row, out),
-            3 => dot_u8_multi_avx2::<3>(cands, row, out),
-            4 => dot_u8_multi_avx2::<4>(cands, row, out),
-            5 => dot_u8_multi_avx2::<5>(cands, row, out),
-            6 => dot_u8_multi_avx2::<6>(cands, row, out),
-            7 => dot_u8_multi_avx2::<7>(cands, row, out),
-            _ => dot_u8_multi_avx2::<8>(cands, row, out),
-        }
-    }
-}
-
-/// The AVX2 register-blocked microkernel: the reference row chunk is
-/// loaded **once** and multiplied into `K` candidate accumulators that
-/// stay in `ymm` registers for the whole row (`K ≤ 8` ⇒ 8 accumulators +
-/// row + candidate + ones = 11 of 16 registers).
-///
-/// # Safety
-///
-/// The caller must ensure AVX2 support, `cands.len() == K * row.len()`,
-/// `out.len() == K`, and codes `<= QUANT_MAX`.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8_multi_avx2<const K: usize>(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    let n = row.len();
-    debug_assert_eq!(cands.len(), K * n);
-    debug_assert_eq!(out.len(), K);
-    let rp = row.as_ptr();
-    let cp = cands.as_ptr();
-    let ones = _mm256_set1_epi16(1);
-    let mut acc = [_mm256_setzero_si256(); K];
-    let mut i = 0usize;
-    while i + 32 <= n {
-        // SAFETY: `i + 32 <= n` bounds the row load; candidate row `j`
-        // spans `cands[j*n..(j+1)*n]`, so `j*n + i + 32 <= (j+1)*n <=
-        // cands.len()` bounds each candidate load.
-        unsafe {
-            let r = _mm256_loadu_si256(rp.add(i).cast());
-            for (j, a) in acc.iter_mut().enumerate() {
-                let c = _mm256_loadu_si256(cp.add(j * n + i).cast());
-                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_maddubs_epi16(r, c), ones));
-            }
-        }
-        i += 32;
-    }
-    for (j, (a, dot)) in acc.into_iter().zip(out.iter_mut()).enumerate() {
-        // SAFETY: reduction is register-only.
-        let mut total = unsafe { hsum_epi32(a) };
-        for t in i..n {
-            total += u32::from(row[t]) * u32::from(cands[j * n + t]); // byte tail
-        }
-        *dot = total;
-    }
-}
-
 #[cfg(target_arch = "aarch64")]
 fn dot_u8_neon_entry(a: &[u8], b: &[u8]) -> u32 {
     // SAFETY: only installed after `is_aarch64_feature_detected!("neon")`
@@ -698,66 +613,6 @@ unsafe fn dot_u8_neon(a: &[u8], b: &[u8]) -> u32 {
         i += 1;
     }
     total
-}
-
-#[cfg(target_arch = "aarch64")]
-fn dot_u8_multi_neon_entry(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    debug_assert!(out.len() <= MICRO_TILE);
-    // SAFETY: only installed after NEON detection.
-    unsafe {
-        match out.len() {
-            0 => {}
-            1 => dot_u8_multi_neon::<1>(cands, row, out),
-            2 => dot_u8_multi_neon::<2>(cands, row, out),
-            3 => dot_u8_multi_neon::<3>(cands, row, out),
-            4 => dot_u8_multi_neon::<4>(cands, row, out),
-            5 => dot_u8_multi_neon::<5>(cands, row, out),
-            6 => dot_u8_multi_neon::<6>(cands, row, out),
-            7 => dot_u8_multi_neon::<7>(cands, row, out),
-            _ => dot_u8_multi_neon::<8>(cands, row, out),
-        }
-    }
-}
-
-/// The NEON register-blocked microkernel (widening multiplies, `K ≤ 8`
-/// `u32×4` accumulators held in registers across the row).
-///
-/// # Safety
-///
-/// The caller must ensure NEON support, `cands.len() == K * row.len()`
-/// and `out.len() == K`.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot_u8_multi_neon<const K: usize>(cands: &[u8], row: &[u8], out: &mut [u32]) {
-    use std::arch::aarch64::*;
-
-    let n = row.len();
-    debug_assert_eq!(cands.len(), K * n);
-    debug_assert_eq!(out.len(), K);
-    let rp = row.as_ptr();
-    let cp = cands.as_ptr();
-    let mut acc = [vdupq_n_u32(0); K];
-    let mut i = 0usize;
-    while i + 16 <= n {
-        // SAFETY: `i + 16 <= n` bounds the row load; candidate row `j`
-        // spans `cands[j*n..(j+1)*n]`, bounding each candidate load.
-        unsafe {
-            let r = vld1q_u8(rp.add(i));
-            for (j, a) in acc.iter_mut().enumerate() {
-                let c = vld1q_u8(cp.add(j * n + i));
-                *a = vpadalq_u16(*a, vmull_u8(vget_low_u8(r), vget_low_u8(c)));
-                *a = vpadalq_u16(*a, vmull_u8(vget_high_u8(r), vget_high_u8(c)));
-            }
-        }
-        i += 16;
-    }
-    for (j, (a, dot)) in acc.into_iter().zip(out.iter_mut()).enumerate() {
-        let mut total = vaddvq_u32(a);
-        for t in i..n {
-            total += u32::from(row[t]) * u32::from(cands[j * n + t]); // byte tail
-        }
-        *dot = total;
-    }
 }
 
 #[cfg(test)]
@@ -865,19 +720,33 @@ mod tests {
 
     #[test]
     fn micro_tile_kernel_equals_single_dots_bit_exactly() {
-        // The register-blocked microkernel must be *bit*-equal to K
-        // independent dots (integer sums are exact), including ragged
-        // tile widths above MICRO_TILE (split into register passes) and
-        // tail lengths.
-        for bins in [0usize, 1, 7, 16, 31, 32, 33, 251] {
-            let row = pseudo_qrow(3, bins);
-            for k in [0usize, 1, 2, 3, 5, 8, 11, 17] {
-                let cands: Vec<u8> = (0..k).flat_map(|j| pseudo_qrow(20 + j as u64, bins)).collect();
-                let mut out = vec![0u32; k];
-                dot_u8_multi(&cands, &row, &mut out);
-                for j in 0..k {
-                    let want = dot_u8(&cands[j * bins..(j + 1) * bins], &row);
-                    assert_eq!(out[j], want, "bins {bins}, tile {k}, lane {j}");
+        // The column kernel must be *bit*-equal to one `dot_u8` per slot
+        // on the gathered row (integer sums are exact): candidates with
+        // long zero runs, an all-zero candidate, 0, 1 and odd slot
+        // counts, and spare capacity (`cap > slots`) whose lanes hold
+        // codes that must not leak into the scored slots.
+        for bins in [0usize, 1, 7, 16, 31, 33, 101, 251] {
+            let dense = pseudo_qrow(3, bins);
+            let sparse: Vec<u8> =
+                dense.iter().enumerate().map(|(j, &c)| if j % 5 == 2 { c } else { 0 }).collect();
+            let zero = vec![0u8; bins];
+            for slots in [0usize, 1, 2, 3, 7, 8, 17] {
+                for cap in [slots, slots + 1, 2 * slots + 5] {
+                    let rows: Vec<Vec<u8>> =
+                        (0..cap).map(|s| pseudo_qrow(20 + s as u64, bins)).collect();
+                    let cols: Vec<u8> =
+                        (0..bins).flat_map(|j| rows.iter().map(move |row| row[j])).collect();
+                    for cand in [&dense, &sparse, &zero] {
+                        let mut out = vec![u32::MAX; slots];
+                        dot_u8_columns(cand, &cols, cap, &mut out);
+                        for (s, row) in rows.iter().take(slots).enumerate() {
+                            let want = dot_u8(cand, row);
+                            assert_eq!(
+                                out[s], want,
+                                "bins {bins}, slots {slots}, cap {cap}, slot {s}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -141,7 +141,7 @@ pub use engine::{
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
 pub use histogram::{BinSpec, Histogram, QuantizedRow};
-pub use kernel::{IntKernelKind, KernelKind, MICRO_TILE, QUANT_MAX};
+pub use kernel::{IntKernelKind, KernelKind, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
     ShardStrategy, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE, U8_SCORE_TOLERANCE,

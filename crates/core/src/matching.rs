@@ -41,13 +41,13 @@
 //!   floating-point SIMD dots, drift ≤ [`F32_SCORE_TOLERANCE`] vs `f64`.
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
 //!   insert to 7-bit codes with a per-row scale
-//!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8));
-//!   cosine is scale-invariant, so the sweep dots raw codes with the
-//!   **exact** integer kernels
-//!   ([`kernel::dot_u8_multi`](crate::kernel::dot_u8_multi)) and folds
-//!   the code norms in at the end. Drift ≤ [`U8_SCORE_TOLERANCE`] vs
-//!   `f32`, pinned by parity proptests here and an AUC-drift gate in the
-//!   analysis crate.
+//!   ([`Histogram::frequencies_u8`](crate::Histogram::frequencies_u8))
+//!   and stored **column-major** (one column per bin, one lane per
+//!   slot). Cosine is scale-invariant, so the sweep dots raw codes with
+//!   the **exact** integer column kernel ([`kernel::dot_u8_columns`])
+//!   and folds the code norms in at the end. Drift ≤
+//!   [`U8_SCORE_TOLERANCE`] vs `f32`, pinned by parity proptests here and
+//!   an AUC-drift gate in the analysis crate.
 //!
 //! Resident bytes per device per (kind, bins) block, at the default
 //! 251-bin inter-arrival spec ([`ReferenceDb::row_bytes`] reports the
@@ -59,11 +59,17 @@
 //! | `f32` | 251 × 4 B      | weight + inv-norm (8 B)        | 1012           |
 //! | `u8`  | 251 × 1 B      | weight + inv-norm + scale (12 B) | 263          |
 //!
-//! Halving the bytes again (4× vs `f32` on the rows themselves) doubles
-//! the rows per cache line a second time, and the integer microkernel
-//! ([`kernel::MICRO_TILE`](crate::kernel::MICRO_TILE)) dots one
-//! reference row against a whole candidate tile per pass with partial
-//! sums held in registers.
+//! Spare `u8` column capacity, left by geometric growth or by removals,
+//! is not resident data and is not counted.
+//!
+//! Traffic histograms are sparse: a candidate typically occupies a
+//! handful of its ~100 bins. The `u8` tier's column layout lets a sweep
+//! read only the columns of the candidate's non-zero codes, each one a
+//! contiguous run of one byte per resident: for each such code `c_j` the
+//! kernel adds `c_j · column_j` into per-slot `u32` sums. The sums are
+//! exact, so every score is bit-equal to the row-major integer dot's.
+//! The `f32` tier stays row-major, because its dot's rounding depends on
+//! summation order.
 //!
 //! # The sharded store
 //!
@@ -104,7 +110,7 @@
 //! For the paper's cosine measure the per-pair kernel collapses to a
 //! single dense dot product (row norms are fixed at pack time, the
 //! candidate norm is hoisted out of the device loop). That dot runs
-//! through [`kernel`](crate::kernel): an AVX2+FMA path selected at
+//! through [`kernel`]: an AVX2+FMA path selected at
 //! runtime on x86, a NEON path on aarch64, and an unrolled portable
 //! fallback — all property-tested equivalent. The dispatch is resolved to
 //! a function pointer once per sweep, not once per pair.
@@ -118,7 +124,9 @@
 //! matrix–vector sweeps (K full passes over the matrix) into one
 //! matrix–matrix sweep. [`MATCH_TILE`] is the tile width the batch paths
 //! ([`ReferenceDb::match_batch`], `metrics::match_candidates`, and through
-//! it the analysis pipeline) use.
+//! it the analysis pipeline) use. The `u8` tier's column-major blocks
+//! invert the loop: each candidate reads the few columns it has mass in,
+//! for every slot of the block at once.
 //!
 //! # Scratch buffers: allocation-free steady state
 //!
@@ -159,8 +167,12 @@
 //! # Incremental growth
 //!
 //! [`ReferenceDb::insert`] appends one row to the device's shard
-//! (amortised `O(row)`) instead of repacking, so streaming database
-//! growth is linear in the data, not quadratic. Internally rows live in
+//! (amortised `O(row)`; the `u8` tier's columns double their lane
+//! capacity when full) instead of repacking, so streaming database
+//! growth is linear in the data, not quadratic. A removal shifts the
+//! shard's later slots down and repairs each block's prune summary in
+//! place, rescanning only the envelope bins the removed row attained
+//! (and the weight maximum, if it held it). Internally rows live in
 //! insertion order with a sorted index on top; shard membership, the
 //! per-shard slots and the sorted address index stay consistent across
 //! any interleaving of [`ReferenceDb::insert`] / [`ReferenceDb::remove`]
@@ -195,7 +207,7 @@ pub const F32_SCORE_TOLERANCE: f64 = 1e-4;
 /// rows.
 ///
 /// Quantization rounds each normalised row to 7-bit codes relative to its
-/// maximum element ([`kernel::QUANT_MAX`](crate::kernel::QUANT_MAX)), so
+/// maximum element ([`kernel::QUANT_MAX`]), so
 /// the stored *direction* moves by up to `~0.5/127 · √(occupied bins)`
 /// relative to the row maximum. For the adversarial case property tests
 /// construct — tens of near-equal tiny bins on both sides of the dot —
@@ -261,9 +273,9 @@ pub enum RowPrecision {
     #[default]
     F32,
     /// Quantized `u8` rows (7-bit codes with a per-row scale, zero-point
-    /// fixed at 0) swept by the exact integer kernels
-    /// ([`kernel::dot_u8_multi`](crate::kernel::dot_u8_multi)). Quarter
-    /// the row bytes of `f32`; scores track the `f32` tier within
+    /// fixed at 0), stored column-major and swept by the exact integer
+    /// column kernel ([`kernel::dot_u8_columns`]). Quarter the row bytes
+    /// of `f32`; scores track the `f32` tier within
     /// [`U8_SCORE_TOLERANCE`].
     U8,
 }
@@ -354,22 +366,30 @@ impl MatchConfig {
 #[derive(Debug, Clone)]
 enum RowStore {
     /// `rows[slot*bins..(slot+1)*bins]` is the device's `f32` frequency
-    /// vector.
+    /// vector, row-major: the floating-point dot's rounding depends on
+    /// its summation order, so each row stays contiguous for
+    /// [`kernel::dot_f32`].
     F32(Vec<f32>),
-    /// Quantized rows: `rows[slot*bins..(slot+1)*bins]` are the device's
-    /// 7-bit codes ([`Histogram::frequencies_u8`]) and `scales[slot]`
-    /// dequantizes them (`frequency ≈ code · scale`). The cosine sweep
+    /// Quantized rows, **column-major**: `cols[j*cap + slot]` is bin `j`
+    /// of the device's 7-bit codes ([`Histogram::frequencies_u8`]), so
+    /// one column holds a bin for every slot and the sweep reads only the
+    /// columns where the candidate has mass
+    /// ([`kernel::dot_u8_columns`]). `cap ≥ slots` is the per-column
+    /// lane capacity; it grows geometrically on append, like `Vec`, and
+    /// lanes past the resident slots are zero. `scales[slot]`
+    /// dequantizes a row (`frequency ≈ code · scale`). The cosine sweep
     /// never touches the scale — cosine is scale-invariant, so it works
     /// on the raw codes with `inv_norms` computed over the codes — but
     /// the non-cosine fallback dequantizes through it.
-    U8 { rows: Vec<u8>, scales: Vec<f32> },
+    U8 { cols: Vec<u8>, cap: usize, scales: Vec<f32> },
 }
 
 /// One frame kind's slice of a shard's reference matrix: every resident
-/// device's frequency vector for that kind, packed row-major at the
-/// database's [`RowPrecision`], plus the reference weights
-/// `weight^ftype(rᵢ)`, reciprocal row norms, and the prune summary
-/// (upper envelope of the normalised rows + max weight).
+/// device's frequency vector for that kind, packed at the database's
+/// [`RowPrecision`] (row-major `f32`, column-major `u8`; see
+/// [`RowStore`]), plus the reference weights `weight^ftype(rᵢ)`,
+/// reciprocal row norms, and the prune summary (upper envelope of the
+/// normalised rows + max weight).
 #[derive(Debug, Clone)]
 struct KindBlock {
     kind: FrameKind,
@@ -378,7 +398,7 @@ struct KindBlock {
     /// so heterogeneous databases still score every compatible pair.
     bins: usize,
     /// `weights[slot]` is the resident device's weight for this kind
-    /// (0 ⇒ skip row).
+    /// (0 ⇒ skip row). Its length is the block's slot count.
     weights: Vec<f32>,
     /// The packed rows at the configured precision.
     store: RowStore,
@@ -407,9 +427,11 @@ impl KindBlock {
             weights: vec![0.0; slots],
             store: match precision {
                 RowPrecision::F32 => RowStore::F32(vec![0.0; slots * bins]),
-                RowPrecision::U8 => {
-                    RowStore::U8 { rows: vec![0; slots * bins], scales: vec![0.0; slots] }
-                }
+                RowPrecision::U8 => RowStore::U8 {
+                    cols: vec![0; slots * bins],
+                    cap: slots,
+                    scales: vec![0.0; slots],
+                },
             },
             inv_norms: vec![0.0; slots],
             envelope: vec![0.0; bins],
@@ -419,36 +441,99 @@ impl KindBlock {
 
     /// Appends one absent-device slot.
     fn push_empty_slot(&mut self) {
+        let slots = self.weights.len();
         self.weights.push(0.0);
         self.inv_norms.push(0.0);
         match &mut self.store {
             RowStore::F32(rows) => rows.resize(rows.len() + self.bins, 0.0),
-            RowStore::U8 { rows, scales } => {
-                rows.resize(rows.len() + self.bins, 0);
+            RowStore::U8 { cols, cap, scales } => {
                 scales.push(0.0);
+                if slots == *cap {
+                    // Full: double every column, so appends stay
+                    // amortised O(bins).
+                    let grown = (*cap * 2).max(4);
+                    let mut wider = vec![0; self.bins * grown];
+                    for j in 0..self.bins {
+                        wider[j * grown..j * grown + slots]
+                            .copy_from_slice(&cols[j * *cap..j * *cap + slots]);
+                    }
+                    *cols = wider;
+                    *cap = grown;
+                }
             }
         }
     }
 
-    /// Removes one slot, shifting the later ones down.
+    /// Removes one slot, shifting the later ones down (the vacated `u8`
+    /// lane is zeroed), and repairs the prune summary in place: an
+    /// envelope bin is recomputed only where the removed row attained
+    /// it, and `wmax` only when the removed weight was the maximum. A
+    /// maximum does not depend on visiting order, so the repaired summary
+    /// equals a full rescan of the remaining rows bit for bit, at a cost
+    /// proportional to the bins the removed row dominated.
     fn remove_slot(&mut self, slot: usize) {
-        self.weights.remove(slot);
-        self.inv_norms.remove(slot);
-        match &mut self.store {
+        let slots = self.weights.len();
+        let weight = self.weights.remove(slot);
+        let inv = self.inv_norms.remove(slot);
+        let KindBlock { bins, weights, store, inv_norms, envelope, wmax, .. } = self;
+        let bins = *bins;
+        // A zero-weight row never entered the summary.
+        let counted = weight != 0.0;
+        match store {
             RowStore::F32(rows) => {
-                rows.drain(slot * self.bins..(slot + 1) * self.bins);
+                let removed = &rows[slot * bins..(slot + 1) * bins];
+                let dirty: Vec<usize> = if counted {
+                    (0..bins)
+                        .filter(|&j| {
+                            let v = removed[j] * inv;
+                            v > 0.0 && v >= envelope[j]
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                rows.drain(slot * bins..(slot + 1) * bins);
+                for &j in &dirty {
+                    envelope[j] = 0.0;
+                }
+                if !dirty.is_empty() {
+                    for (s, row) in rows.chunks_exact(bins).enumerate() {
+                        if weights[s] == 0.0 {
+                            continue;
+                        }
+                        for &j in &dirty {
+                            envelope[j] = envelope[j].max(row[j] * inv_norms[s]);
+                        }
+                    }
+                }
             }
-            RowStore::U8 { rows, scales } => {
-                rows.drain(slot * self.bins..(slot + 1) * self.bins);
+            RowStore::U8 { cols, cap, scales } => {
                 scales.remove(slot);
+                for (col, e) in cols.chunks_exact_mut(*cap).zip(envelope.iter_mut()) {
+                    let v = f32::from(col[slot]) * inv;
+                    col.copy_within(slot + 1..slots, slot);
+                    col[slots - 1] = 0;
+                    if counted && v > 0.0 && v >= *e {
+                        *e = 0.0;
+                        for ((&c, &w), &s_inv) in
+                            col.iter().zip(weights.iter()).zip(inv_norms.iter())
+                        {
+                            if w != 0.0 {
+                                *e = e.max(f32::from(c) * s_inv);
+                            }
+                        }
+                    }
+                }
             }
+        }
+        if counted && weight >= *wmax {
+            *wmax = weights.iter().fold(0.0, |m: f32, &w| m.max(w));
         }
     }
 
     /// Writes a device's row into `slot` at the block's precision and
     /// absorbs it into the prune summary (the envelope only grows here;
-    /// shrinking happens in [`KindBlock::rebuild_summary`] after
-    /// removals).
+    /// [`KindBlock::remove_slot`] repairs it after a removal).
     fn set_slot(&mut self, slot: usize, hist: &Histogram, weight: f32) {
         let KindBlock { bins, weights, store, inv_norms, envelope, wmax, .. } = self;
         let bins = *bins;
@@ -465,64 +550,54 @@ impl KindBlock {
                     *e = e.max(f * inv);
                 }
             }
-            RowStore::U8 { rows, scales } => {
+            RowStore::U8 { cols, cap, scales } => {
                 let q = hist.frequencies_u8();
                 debug_assert_eq!(q.values().len(), bins);
-                rows[slot * bins..(slot + 1) * bins].copy_from_slice(q.values());
                 scales[slot] = q.scale();
                 let inv = q.inv_norm();
                 inv_norms[slot] = inv;
-                for (e, &c) in envelope.iter_mut().zip(q.values()) {
+                for ((col, e), &c) in
+                    cols.chunks_exact_mut(*cap).zip(envelope.iter_mut()).zip(q.values())
+                {
+                    col[slot] = c;
                     *e = e.max(f32::from(c) * inv);
                 }
             }
         }
     }
 
-    /// Recomputes the envelope and max weight from the resident rows
-    /// (after a removal the incremental summary would be stale-loose).
+    /// Recomputes the envelope and max weight from scratch over the
+    /// resident rows: the oracle the in-place repair of
+    /// [`KindBlock::remove_slot`] is tested bit-equal to.
+    #[cfg(test)]
     fn rebuild_summary(&mut self) {
         let KindBlock { bins, weights, store, inv_norms, envelope, wmax, .. } = self;
-        let bins = *bins;
         envelope.fill(0.0);
         *wmax = 0.0;
-        match store {
-            RowStore::F32(rows) => {
-                for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                    let weight = weights[slot];
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    *wmax = wmax.max(weight);
-                    let inv = inv_norms[slot];
-                    for (e, &f) in envelope.iter_mut().zip(row) {
-                        *e = e.max(f * inv);
-                    }
-                }
+        for (slot, (&weight, &inv)) in weights.iter().zip(inv_norms.iter()).enumerate() {
+            if weight == 0.0 {
+                continue;
             }
-            RowStore::U8 { rows, .. } => {
-                for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                    let weight = weights[slot];
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    *wmax = wmax.max(weight);
-                    let inv = inv_norms[slot];
-                    for (e, &c) in envelope.iter_mut().zip(row) {
-                        *e = e.max(f32::from(c) * inv);
-                    }
-                }
+            *wmax = wmax.max(weight);
+            for (j, e) in envelope.iter_mut().enumerate() {
+                let v = match store {
+                    RowStore::F32(rows) => rows[slot * *bins + j],
+                    RowStore::U8 { cols, cap, .. } => f32::from(cols[j * *cap + slot]),
+                };
+                *e = e.max(v * inv);
             }
         }
     }
 
     /// Bytes held by this block's packed rows and per-row/summary
-    /// metadata (capacity excluded — this measures the resident layout).
+    /// metadata for the resident slots (spare `u8` lane capacity
+    /// excluded — this measures the resident layout).
     fn row_bytes(&self) -> usize {
+        let slots = self.weights.len();
         let store = match &self.store {
             RowStore::F32(rows) => std::mem::size_of_val(rows.as_slice()),
-            RowStore::U8 { rows, scales } => {
-                std::mem::size_of_val(rows.as_slice()) + std::mem::size_of_val(scales.as_slice())
+            RowStore::U8 { scales, .. } => {
+                slots * self.bins + std::mem::size_of_val(scales.as_slice())
             }
         };
         store
@@ -739,10 +814,11 @@ impl ReferenceDb {
     ///
     /// Returns the previous signature if the device was already present.
     /// Inserting a new device **appends** one slot to its shard
-    /// (amortised `O(row width)`), so building a database by streaming
-    /// inserts is linear overall; replacing detaches the old row and
-    /// re-attaches the new one, migrating the device to a different
-    /// shard when its dominant histogram moved.
+    /// (amortised `O(row width)` per block of the shard), so building a
+    /// database by streaming inserts is linear overall; replacing
+    /// detaches the old row and re-attaches the new one, migrating the
+    /// device to a different shard when its dominant histogram moved.
+    /// The detach costs what [`ReferenceDb::remove`] costs.
     ///
     /// # Errors
     ///
@@ -785,6 +861,12 @@ impl ReferenceDb {
     /// the sorted address index all stay consistent, so a later
     /// [`ReferenceDb::insert`] of the same or another device scores
     /// identically to a freshly built database.
+    ///
+    /// Cost: `O(devices)` for the index, plus per block of the device's
+    /// shard one shift of the later slots (`O(slots × bins)` bytes) and a
+    /// prune-summary repair that rescans only the envelope bins the
+    /// removed row attained — `O(slots)` each — instead of the whole
+    /// block.
     ///
     /// # Errors
     ///
@@ -914,8 +996,9 @@ impl ReferenceDb {
     }
 
     /// Detaches global row `row` from its shard: drops its slot, shifts
-    /// the later residents down, and rebuilds the affected prune
-    /// summaries (the envelope may shrink).
+    /// the later residents down, and repairs the affected prune
+    /// summaries in place (the envelope may shrink; see
+    /// [`KindBlock::remove_slot`]).
     fn detach_row(&mut self, row: usize) {
         let Placement { shard: shard_idx, slot } = self.placement[row];
         let ReferenceDb { placement, shards, .. } = self;
@@ -927,7 +1010,6 @@ impl ReferenceDb {
         }
         for block in &mut shard.blocks {
             block.remove_slot(slot);
-            block.rebuild_summary();
         }
         shard.blocks.retain(|b| b.wmax > 0.0);
     }
@@ -1095,32 +1177,26 @@ impl ReferenceDb {
                             }
                         }
                     }
-                    (RowStore::U8 { rows, .. }, true) => {
-                        // The register-blocked integer microkernel: each
-                        // quantized reference row is dotted against the
-                        // whole candidate tile in one pass, partial sums
-                        // held in registers, each output written once.
-                        scratch.u8_dots.clear();
-                        scratch.u8_dots.resize(tile, 0);
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let weight = f64::from(weight);
-                            let i = shard.rows[slot] as usize;
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            kernel::dot_u8_multi(
-                                &scratch.tile_qrows,
-                                row,
-                                &mut scratch.u8_dots[..tile],
-                            );
-                            for t in 0..tile {
-                                let cos = (f64::from(scratch.u8_dots[t])
-                                    * scratch.tile_inv_norms[t]
-                                    * row_inv)
-                                    .clamp(0.0, 1.0);
-                                scratch.scores[scratch.tile_slots[t] * n + i] += weight * cos;
+                    (RowStore::U8 { cols, cap, .. }, true) => {
+                        // The column kernel: each candidate's exact dots
+                        // against every slot at once, reading only the
+                        // columns where the candidate has mass.
+                        let slots = block.weights.len();
+                        scratch.u8_dots.resize(slots, 0);
+                        for t in 0..tile {
+                            let cand = &scratch.tile_qrows[t * bins..(t + 1) * bins];
+                            kernel::dot_u8_columns(cand, cols, *cap, &mut scratch.u8_dots[..slots]);
+                            let cand_inv = scratch.tile_inv_norms[t];
+                            let scores = &mut scratch.scores[scratch.tile_slots[t] * n..];
+                            for (slot, &d) in scratch.u8_dots[..slots].iter().enumerate() {
+                                let weight = block.weights[slot];
+                                if weight == 0.0 {
+                                    continue;
+                                }
+                                let weight = f64::from(weight);
+                                let row_inv = f64::from(block.inv_norms[slot]);
+                                let cos = (f64::from(d) * cand_inv * row_inv).clamp(0.0, 1.0);
+                                scores[shard.rows[slot] as usize] += weight * cos;
                             }
                         }
                     }
@@ -1139,12 +1215,12 @@ impl ReferenceDb {
                             }
                         }
                     }
-                    (RowStore::U8 { rows, scales }, false) => {
+                    (RowStore::U8 { cols, cap, scales }, false) => {
                         // Non-cosine measures read frequencies, not
-                        // directions: dequantize each reference row once
-                        // per tile and reuse the dense f32 kernels.
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
+                        // directions: gather each reference row from the
+                        // columns, dequantize it once per tile and reuse
+                        // the dense f32 kernels.
+                        for (slot, &weight) in block.weights.iter().enumerate() {
                             if weight == 0.0 {
                                 continue;
                             }
@@ -1152,7 +1228,9 @@ impl ReferenceDb {
                             let i = shard.rows[slot] as usize;
                             let scale = scales[slot];
                             scratch.dequant_row.clear();
-                            scratch.dequant_row.extend(row.iter().map(|&q| f32::from(q) * scale));
+                            scratch.dequant_row.extend(
+                                cols.chunks_exact(*cap).map(|col| f32::from(col[slot]) * scale),
+                            );
                             for t in 0..tile {
                                 let cand = &scratch.tile_rows[t * bins..(t + 1) * bins];
                                 scratch.scores[scratch.tile_slots[t] * n + i] +=
@@ -1391,37 +1469,23 @@ impl ReferenceDb {
                             }
                         }
                     }
-                    RowStore::U8 { rows, .. } => {
-                        // Gather the active candidates' code rows
-                        // contiguously and hand each reference row to
-                        // the register-blocked integer microkernel.
-                        let m = end - e;
-                        scratch.gather_qrows.clear();
-                        for &(_, _, offset, _) in &scratch.sweep_entries[e..end] {
-                            scratch
-                                .gather_qrows
-                                .extend_from_slice(&scratch.tile_qrows[offset..offset + bins]);
-                        }
-                        scratch.u8_dots.clear();
-                        scratch.u8_dots.resize(m, 0);
-                        for (slot, row) in rows.chunks_exact(bins).enumerate() {
-                            let weight = block.weights[slot];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            let row_inv = f64::from(block.inv_norms[slot]);
-                            kernel::dot_u8_multi(
-                                &scratch.gather_qrows,
-                                row,
-                                &mut scratch.u8_dots[..m],
-                            );
-                            for (d, &(ci, _, _, cand_inv)) in
-                                scratch.u8_dots.iter().zip(&scratch.sweep_entries[e..end])
-                            {
-                                let cos =
-                                    (f64::from(*d) * cand_inv * row_inv).clamp(0.0, 1.0);
-                                scratch.shard_scores[ci * slots + slot] +=
-                                    f64::from(weight) * cos;
+                    RowStore::U8 { cols, cap, .. } => {
+                        // The column kernel, one active candidate at a
+                        // time: exact dots against every slot, reading
+                        // only the columns where the candidate has mass.
+                        scratch.u8_dots.resize(slots, 0);
+                        for &(ci, _, offset, cand_inv) in &scratch.sweep_entries[e..end] {
+                            let cand = &scratch.tile_qrows[offset..offset + bins];
+                            kernel::dot_u8_columns(cand, cols, *cap, &mut scratch.u8_dots[..slots]);
+                            let scores = &mut scratch.shard_scores[ci * slots..(ci + 1) * slots];
+                            for (slot, &d) in scratch.u8_dots[..slots].iter().enumerate() {
+                                let weight = block.weights[slot];
+                                if weight == 0.0 {
+                                    continue;
+                                }
+                                let row_inv = f64::from(block.inv_norms[slot]);
+                                let cos = (f64::from(d) * cand_inv * row_inv).clamp(0.0, 1.0);
+                                scores[slot] += f64::from(weight) * cos;
                             }
                         }
                     }
@@ -1558,7 +1622,8 @@ pub struct MatchScratch {
     tile_inv_norms: Vec<f64>,
     /// Which candidate each packed tile row belongs to.
     tile_slots: Vec<usize>,
-    /// Integer microkernel outputs: one `u32` dot per tile row.
+    /// Column-kernel outputs: one `u32` dot per slot of the block being
+    /// swept (`u8` tier only).
     u8_dots: Vec<u32>,
     /// One dequantized reference row (`u8` tier, non-cosine measures).
     dequant_row: Vec<f32>,
@@ -1578,9 +1643,6 @@ pub struct MatchScratch {
     /// Pruned sweep: the active candidates' packed kinds for the current
     /// shard, grouped by kind (ascending).
     sweep_entries: Vec<(usize, usize, usize, f64)>,
-    /// Pruned sweep: active candidates' code rows gathered contiguously
-    /// for the integer microkernel (`u8` tier only).
-    gather_qrows: Vec<u8>,
     /// Pruned sweep: per-(candidate, slot) accumulators for the shard
     /// being swept, candidate-major.
     shard_scores: Vec<f64>,
@@ -2466,6 +2528,42 @@ mod tests {
     // f32 ↔ f64 parity: the packed-f32 engine must track the all-f64
     // naive baseline within the documented tolerance for every measure,
     // on arbitrary databases and candidates.
+    /// Every block's prune summary must bit-equal a from-scratch rebuild
+    /// on a clone, and every `u8` lane past the resident slots must be
+    /// zero.
+    fn assert_summaries_rebuilt(db: &ReferenceDb, context: &str) {
+        for (si, shard) in db.shards.iter().enumerate() {
+            for block in &shard.blocks {
+                assert_eq!(block.weights.len(), shard.rows.len(), "{context}: shard {si} slots");
+                let mut fresh = block.clone();
+                fresh.rebuild_summary();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&block.envelope),
+                    bits(&fresh.envelope),
+                    "{context}: shard {si} {:?}/{} envelope",
+                    block.kind,
+                    block.bins
+                );
+                assert_eq!(
+                    block.wmax.to_bits(),
+                    fresh.wmax.to_bits(),
+                    "{context}: shard {si} {:?}/{} wmax",
+                    block.kind,
+                    block.bins
+                );
+                if let RowStore::U8 { cols, cap, .. } = &block.store {
+                    assert_eq!(cols.len(), block.bins * cap, "{context}: column capacity");
+                    let slots = block.weights.len();
+                    assert!(
+                        cols.chunks_exact(*cap).all(|col| col[slots..].iter().all(|&c| c == 0)),
+                        "{context}: shard {si} spare lanes must be zero"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn f32_engine_tracks_f64_baseline(
@@ -2632,6 +2730,77 @@ mod tests {
             let mut scratch = MatchScratch::new();
             let top = u8_db.match_topk(&cand, 3, SimilarityMeasure::Cosine, &mut scratch);
             prop_assert_eq!(top, b.top(3));
+        }
+
+        // Prune-summary repair under churn: random insert / replace /
+        // remove sequences on sharded databases of both tiers, long enough
+        // to cross the u8 columns' capacity growth. After every operation
+        // each block's envelope and wmax bit-equal a full rebuild; at the
+        // end the churned database scores bit-equal a fresh bulk build of
+        // the same set, in the dense tile and in the pruned top-k (with
+        // the same prune decisions).
+        #[test]
+        fn summary_repair_equals_rebuild_under_churn(
+            ops in prop::collection::vec(
+                (0u8..3, 0u64..32, prop::collection::vec(0.0f64..2400.0, 1..30)), 1..120),
+            cand_tiles in prop::collection::vec(
+                prop::collection::vec(0.0f64..2400.0, 1..30), 1..4),
+            shards in 2usize..5,
+            mac_prefix in any::<bool>(),
+            quantized in any::<bool>(),
+            k in 1usize..6,
+        ) {
+            let c = cfg();
+            let strategy = if mac_prefix {
+                ShardStrategy::MacPrefix
+            } else {
+                ShardStrategy::DominantHistogram
+            };
+            let precision = if quantized { RowPrecision::U8 } else { RowPrecision::F32 };
+            let config = MatchConfig { strategy, shards, precision };
+            let sig_of = |values: &[f64]| {
+                let mut sig = Signature::new();
+                for (j, &v) in values.iter().enumerate() {
+                    let kind = match j % 7 {
+                        0 => FrameKind::Beacon,
+                        3 => FrameKind::ProbeReq,
+                        _ => FrameKind::Data,
+                    };
+                    sig.record(kind, v, &c);
+                }
+                sig
+            };
+            let mut db = ReferenceDb::with_config(config);
+            let mut model: BTreeMap<MacAddr, Signature> = BTreeMap::new();
+            for (step, (op, id, values)) in ops.iter().enumerate() {
+                let addr = MacAddr::from_index((id + 1) * 0x0101_0101);
+                if *op == 2 {
+                    let removed = db.remove(&addr).unwrap();
+                    prop_assert_eq!(removed.is_some(), model.remove(&addr).is_some());
+                } else {
+                    let sig = sig_of(values);
+                    let replaced = db.insert(addr, sig.clone()).unwrap();
+                    prop_assert_eq!(replaced.is_some(), model.insert(addr, sig).is_some());
+                }
+                assert_summaries_rebuilt(&db, &format!("step {step} under {config:?}"));
+            }
+            let fresh = ReferenceDb::from_signatures_with(model, config);
+            let candidates: Vec<Signature> = cand_tiles.iter().map(|v| sig_of(v)).collect();
+            let bits = |pairs: &[(MacAddr, f64)]| {
+                pairs.iter().map(|&(d, x)| (d, x.to_bits())).collect::<Vec<_>>()
+            };
+            let (mut a, mut b) = (MatchScratch::new(), MatchScratch::new());
+            let got = db.match_tile(&candidates, SimilarityMeasure::Cosine, &mut a);
+            let want = fresh.match_tile(&candidates, SimilarityMeasure::Cosine, &mut b);
+            for (g, w) in got.views().zip(want.views()) {
+                prop_assert_eq!(bits(g.similarities()), bits(w.similarities()));
+            }
+            for cand in &candidates {
+                let got = db.match_topk(cand, k, SimilarityMeasure::Cosine, &mut a);
+                let want = fresh.match_topk(cand, k, SimilarityMeasure::Cosine, &mut b);
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(a.prune_stats(), b.prune_stats());
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on four traces (Table I) plus a set of controlled
 //! Faraday-cage experiments (§VI). This crate regenerates all of them on
-//! top of the [`wifiprint-netsim`] simulator and the [`wifiprint-devices`]
+//! top of the `wifiprint-netsim` simulator and the `wifiprint-devices`
 //! profile library:
 //!
 //! * [`OfficeScenario`] — static WPA network (*office 1*: 7 h,
