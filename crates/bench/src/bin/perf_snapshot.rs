@@ -23,12 +23,12 @@
 //! the f32 SIMD matrix sweep at 256 devices, the K=8 matrix–matrix tile
 //! versus 8 matrix–vector sweeps, the f32-vs-f64 dot kernels (with the
 //! runtime dispatch decision), streaming insert cost, and the
-//! serial-vs-parallel window batch — plus the streaming engines'
+//! serial-vs-parallel window batch — plus the streaming engine's
 //! end-to-end ingest throughput (frames/second through extraction,
 //! windowing and per-window tiled matching against 256-device
-//! references): the single-parameter `Engine` since PR 3 and, since
-//! PR 4, the fused five-parameter `MultiEngine`, whose per-frame cost
-//! must stay **well below five single engines** (one header parse and
+//! references) at two widths: one parameter
+//! (`FusionSpec::single(InterArrivalTime)`) and all five fused, whose
+//! per-frame cost must stay **well below five one-parameter runs** (one header parse and
 //! one timing history instead of five). Since PR 5 the snapshot also
 //! measures the **sharded** store at metropolis scale: the dense full
 //! sweep versus the summary-pruned top-k sweep at 10⁴ and 10⁵ enrolled
@@ -68,7 +68,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use wifiprint_core::{
-    kernel, Engine, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
+    kernel, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MatchConfig,
     MatchScratch, MultiConfig, MultiEngine, NetworkParameter, OverloadPolicy, ReferenceDb,
     Signature, SimilarityMeasure,
 };
@@ -227,15 +227,13 @@ fn main() {
         std::hint::black_box(db.match_batch(&candidates, SimilarityMeasure::Cosine));
     });
 
-    // Engine ingest: the streaming facade end to end — per-frame
-    // extraction + windowing, one tiled match sweep per closed 1 s
-    // window, 64 active devices against the 256-device reference.
-    let engine_cfg = {
-        let mut c = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(30);
-        c.window = Nanos::from_secs(1);
-        c
-    };
+    // Engine ingest at one-parameter width: the streaming facade end to
+    // end — per-frame extraction + windowing, one tiled match sweep per
+    // closed 1 s window, 64 active devices against the 256-device
+    // reference.
+    let multi_cfg = MultiConfig::default()
+        .with_min_observations(30)
+        .with_window(Nanos::from_secs(1));
     let stream_devices = 64u64;
     let engine_frames: Vec<CapturedFrame> = (0..240_000u64)
         .map(|i| {
@@ -249,9 +247,11 @@ fn main() {
         })
         .collect();
     let engine_ingest_ns = measure(5, 1, || {
-        let mut engine = Engine::builder()
-            .config(engine_cfg.clone())
-            .reference(db.snapshot())
+        let refs = BTreeMap::from([(NetworkParameter::InterArrivalTime, db.snapshot())]);
+        let mut engine = MultiEngine::builder()
+            .spec(FusionSpec::single(NetworkParameter::InterArrivalTime))
+            .config(multi_cfg.clone())
+            .references(refs)
             .build()
             .expect("valid engine configuration");
         let mut decisions = 0usize;
@@ -267,10 +267,7 @@ fn main() {
     // five-parameter engine — one header parse and one timing history
     // per frame instead of five, five per-parameter reference sweeps as
     // each window closes. The per-frame cost must stay well below five
-    // single-parameter engines.
-    let multi_cfg = MultiConfig::default()
-        .with_min_observations(30)
-        .with_window(Nanos::from_secs(1));
+    // one-parameter runs.
     let multi_refs: BTreeMap<NetworkParameter, ReferenceDb> = NetworkParameter::ALL
         .into_iter()
         .map(|param| {
@@ -300,8 +297,8 @@ fn main() {
         std::hint::black_box(decisions);
     }) / engine_frames.len() as f64;
     let multi_engine_ingest_fps = 1e9 / multi_engine_ingest_ns;
-    // How many single-parameter engines one fused pass costs; five
-    // independent engines would sit at 5.0.
+    // How many one-parameter runs one fused pass costs; five
+    // independent runs would sit at 5.0.
     let multi_vs_single = multi_engine_ingest_ns / engine_ingest_ns;
 
     // Supervised ingest front: the same fused stream submitted through

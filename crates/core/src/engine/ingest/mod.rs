@@ -1,9 +1,10 @@
 //! The supervised ingest front: back-pressure, overload shedding,
-//! panic isolation and stall watchdogs around either streaming engine.
+//! panic isolation and stall watchdogs around the streaming engine.
 //!
-//! PR 6 hardened the engines against *degraded frames*; this module
-//! hardens them against *degraded flow*. An [`IngestPipeline`] owns an
-//! engine on a supervised worker thread behind a bounded MPMC ring:
+//! The [`resilience`](super::resilience) front hardens the engine
+//! against *degraded frames*; this module hardens it against *degraded
+//! flow*. An [`IngestPipeline`] owns a [`MultiEngine`] on a supervised
+//! worker thread behind a bounded MPMC ring:
 //!
 //! * **Back-pressure** — the ring is bounded; an [`OverloadPolicy`]
 //!   decides what a full ring does to a submission: `Block` (lossless,
@@ -21,18 +22,17 @@
 //!   frame under the strict policy) quarantine through the same path.
 //! * **Stall watchdog** — with [`IngestConfig::stall_timeout`] set, a
 //!   ring that stays empty past the deadline drives
-//!   [`Engine::tick`](super::Engine::tick) /
-//!   [`MultiEngine::tick`](super::MultiEngine::tick), so a silent
-//!   source can never stall a window decision. The watchdog trades
-//!   bit-exact replay determinism for liveness; leave it `None` when
-//!   events must be bit-identical to the synchronous run.
+//!   [`MultiEngine::tick`], so a silent source can never stall a window
+//!   decision. The watchdog trades bit-exact replay determinism for
+//!   liveness; leave it `None` when events must be bit-identical to the
+//!   synchronous run.
 //! * **Ordered delivery** — every submission gets a dense sequence
 //!   number, and an [`EventSequencer`] reassembles event batches in
 //!   submission order (sheds and quarantines close their numbers as
 //!   gaps). Under `OverloadPolicy::Block` with no faults and no
 //!   watchdog, the delivered event stream is **bit-identical** to
 //!   calling `observe` synchronously — a property test pins this for
-//!   both engines.
+//!   one-parameter and fused specs.
 //!
 //! # The hand-off
 //!
@@ -72,13 +72,13 @@
 //! # Example
 //!
 //! ```
-//! use wifiprint_core::engine::ingest::{IngestConfig, IngestPipeline, OverloadPolicy};
-//! use wifiprint_core::{Engine, EvalConfig, NetworkParameter};
+//! use wifiprint_core::engine::ingest::{IngestConfig, IngestPipeline};
+//! use wifiprint_core::{FusionSpec, MultiEngine, NetworkParameter};
 //! use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 //! use wifiprint_radiotap::CapturedFrame;
 //!
-//! let engine = Engine::builder()
-//!     .config(EvalConfig::for_parameter(NetworkParameter::InterArrivalTime))
+//! let engine = MultiEngine::builder()
+//!     .spec(FusionSpec::single(NetworkParameter::InterArrivalTime))
 //!     .train_for(Nanos::from_secs(3600))
 //!     .build()
 //!     .expect("valid engine configuration");
@@ -109,12 +109,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wifiprint_ieee80211::Nanos;
 use wifiprint_radiotap::CapturedFrame;
 
 use self::state::{DrainOutcome, PushOutcome, RingState, Ticket};
 use super::resilience::EngineHealth;
-use super::{Engine, EngineError, Event, MultiEngine, MultiEvent};
+use super::{EngineError, MultiEngine, MultiEvent};
 
 /// What a full ingest ring does to a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,102 +232,6 @@ impl IngestConfig {
     pub fn with_panic_probe(mut self, probe: Option<fn(&CapturedFrame) -> bool>) -> Self {
         self.panic_probe = probe;
         self
-    }
-}
-
-/// The engine surface the supervised pipeline drives — implemented by
-/// both [`Engine`] (single parameter) and [`MultiEngine`] (fused five
-/// parameters).
-pub trait StreamEngine: Send + 'static {
-    /// The typed event the engine emits.
-    type Event: fmt::Debug + Send + 'static;
-
-    /// Processes one frame (see `Engine::observe`).
-    ///
-    /// # Errors
-    /// The engine's per-frame failure (late frame under the strict
-    /// policy, finished session, training-transition failure).
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Advances the engine clock without a frame (see
-    /// `Engine::advance_to`).
-    ///
-    /// # Errors
-    /// `EngineError::Finished` after `finish`, or a training-transition
-    /// failure.
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Forces a decision on the open window now (see `Engine::tick`).
-    ///
-    /// # Errors
-    /// `EngineError::Finished` after `finish`.
-    fn tick(&mut self) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// Seals the session (see `Engine::finish`).
-    ///
-    /// # Errors
-    /// A training-transition failure.
-    fn finish(&mut self) -> Result<Vec<Self::Event>, EngineError>;
-
-    /// The engine's ingest-health counters.
-    fn health(&self) -> EngineHealth;
-
-    /// Frames delivered to the engine core so far.
-    fn frames_observed(&self) -> u64;
-
-    /// Frames still held by the engine's reorder buffer.
-    fn pending_frames(&self) -> usize;
-}
-
-impl StreamEngine for Engine {
-    type Event = Event;
-
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<Event>, EngineError> {
-        Engine::observe(self, frame)
-    }
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<Event>, EngineError> {
-        Engine::advance_to(self, t)
-    }
-    fn tick(&mut self) -> Result<Vec<Event>, EngineError> {
-        Engine::tick(self)
-    }
-    fn finish(&mut self) -> Result<Vec<Event>, EngineError> {
-        Engine::finish(self)
-    }
-    fn health(&self) -> EngineHealth {
-        Engine::health(self)
-    }
-    fn frames_observed(&self) -> u64 {
-        Engine::frames_observed(self)
-    }
-    fn pending_frames(&self) -> usize {
-        Engine::pending_frames(self)
-    }
-}
-
-impl StreamEngine for MultiEngine {
-    type Event = MultiEvent;
-
-    fn observe(&mut self, frame: &CapturedFrame) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::observe(self, frame)
-    }
-    fn advance_to(&mut self, t: Nanos) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::advance_to(self, t)
-    }
-    fn tick(&mut self) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::tick(self)
-    }
-    fn finish(&mut self) -> Result<Vec<MultiEvent>, EngineError> {
-        MultiEngine::finish(self)
-    }
-    fn health(&self) -> EngineHealth {
-        MultiEngine::health(self)
-    }
-    fn frames_observed(&self) -> u64 {
-        MultiEngine::frames_observed(self)
-    }
-    fn pending_frames(&self) -> usize {
-        MultiEngine::pending_frames(self)
     }
 }
 
@@ -453,9 +356,9 @@ struct SharedStats {
 
 /// Everything the producer facades and the worker share.
 #[derive(Debug)]
-struct PipelineShared<T> {
+struct PipelineShared {
     ring: RingState,
-    sequencer: Mutex<EventSequencer<T>>,
+    sequencer: Mutex<EventSequencer<MultiEvent>>,
     quarantine: Mutex<Quarantine>,
     stats: SharedStats,
 }
@@ -476,18 +379,12 @@ pub enum SubmitOutcome {
 /// A cloneable producer handle onto a running pipeline — the MPMC
 /// "sender" side. Any number of capture threads may submit through
 /// their own handle; see [`IngestPipeline::handle`].
-#[derive(Debug)]
-pub struct IngestHandle<T> {
-    shared: Arc<PipelineShared<T>>,
+#[derive(Debug, Clone)]
+pub struct IngestHandle {
+    shared: Arc<PipelineShared>,
 }
 
-impl<T> Clone for IngestHandle<T> {
-    fn clone(&self) -> Self {
-        IngestHandle { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> IngestHandle<T> {
+impl IngestHandle {
     /// Submits one frame under the pipeline's overload policy.
     ///
     /// # Errors
@@ -499,8 +396,8 @@ impl<T> IngestHandle<T> {
     }
 }
 
-fn submit_shared<T>(
-    shared: &PipelineShared<T>,
+fn submit_shared(
+    shared: &PipelineShared,
     frame: &CapturedFrame,
 ) -> Result<SubmitOutcome, EngineError> {
     match shared.ring.push(frame) {
@@ -520,14 +417,14 @@ fn submit_shared<T>(
 }
 
 /// The terminal report of a supervised session: the ordered event
-/// stream, the engine itself (for `into_reference` etc.), the merged
+/// stream, the engine itself (for `into_references` etc.), the merged
 /// health ledger, the pipeline counters, and the retained quarantine.
 #[derive(Debug)]
-pub struct IngestReport<E: StreamEngine> {
+pub struct IngestReport {
     /// Every delivered event, in submission order.
-    pub events: Vec<E::Event>,
+    pub events: Vec<MultiEvent>,
     /// The engine, already `finish()`ed by the worker.
-    pub engine: E,
+    pub engine: MultiEngine,
     /// The merged health ledger: the engine's gate counters with
     /// `frames_seen` replaced by the submission count and the
     /// shed/quarantined/restarted counters filled in.
@@ -541,7 +438,7 @@ pub struct IngestReport<E: StreamEngine> {
     pub delivered: u64,
 }
 
-impl<E: StreamEngine> IngestReport<E> {
+impl IngestReport {
     /// Whether the session satisfies the conservation law exactly:
     /// `seen = delivered + dropped + shed + quarantined` (everything is
     /// drained after `finish`, so `pending = 0`).
@@ -551,16 +448,16 @@ impl<E: StreamEngine> IngestReport<E> {
     }
 }
 
-/// A supervised ingest front around one [`StreamEngine`]: bounded ring,
+/// A supervised ingest front around one [`MultiEngine`]: bounded ring,
 /// overload policy, panic-isolating worker, stall watchdog and ordered
 /// event delivery. See the [module docs](self).
 #[derive(Debug)]
-pub struct IngestPipeline<E: StreamEngine> {
-    shared: Arc<PipelineShared<E::Event>>,
-    worker: Option<JoinHandle<E>>,
+pub struct IngestPipeline {
+    shared: Arc<PipelineShared>,
+    worker: Option<JoinHandle<MultiEngine>>,
 }
 
-impl<E: StreamEngine> IngestPipeline<E> {
+impl IngestPipeline {
     /// Spawns the supervised worker around `engine` and opens the ring
     /// for submissions.
     ///
@@ -568,7 +465,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// [`EngineError::Supervisor`] when the worker thread cannot be
     /// spawned.
-    pub fn spawn(engine: E, cfg: IngestConfig) -> Result<Self, EngineError> {
+    pub fn spawn(engine: MultiEngine, cfg: IngestConfig) -> Result<Self, EngineError> {
         let shared = Arc::new(PipelineShared {
             ring: RingState::new(cfg.capacity, cfg.overload),
             sequencer: Mutex::new(EventSequencer::new()),
@@ -599,7 +496,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     /// A cloneable producer handle, so any number of capture threads
     /// can feed the ring (MPMC).
     #[must_use]
-    pub fn handle(&self) -> IngestHandle<E::Event> {
+    pub fn handle(&self) -> IngestHandle {
         IngestHandle { shared: Arc::clone(&self.shared) }
     }
 
@@ -609,7 +506,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// If the sequencer lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
-    pub fn drain_events(&self) -> Vec<E::Event> {
+    pub fn drain_events(&self) -> Vec<MultiEvent> {
         self.shared.sequencer().drain_ready()
     }
 
@@ -662,7 +559,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     ///
     /// If an internal lock is poisoned — impossible in practice, the
     /// worker wraps every sweep in its panic isolation.
-    pub fn finish(mut self) -> Result<IngestReport<E>, EngineError> {
+    pub fn finish(mut self) -> Result<IngestReport, EngineError> {
         self.shared.ring.close();
         let worker = self.worker.take().expect("finish consumes the only owner");
         let engine = worker.join().map_err(|_| EngineError::Supervisor {
@@ -685,7 +582,7 @@ impl<E: StreamEngine> IngestPipeline<E> {
     }
 }
 
-impl<E: StreamEngine> Drop for IngestPipeline<E> {
+impl Drop for IngestPipeline {
     fn drop(&mut self) {
         // An abandoned pipeline must not leak its worker: close the
         // ring and wait for the drain. `finish()` takes the handle, so
@@ -728,7 +625,7 @@ impl Batch {
     }
 
     /// Publishes the deferred sequencer advances and latency counters.
-    fn flush<T>(&mut self, shared: &PipelineShared<T>) {
+    fn flush(&mut self, shared: &PipelineShared) {
         if !self.empty.is_empty() {
             shared.sequencer().advance_empty(self.empty.drain(..));
         }
@@ -742,8 +639,8 @@ impl Batch {
     }
 }
 
-impl<T> PipelineShared<T> {
-    fn sequencer(&self) -> MutexGuard<'_, EventSequencer<T>> {
+impl PipelineShared {
+    fn sequencer(&self) -> MutexGuard<'_, EventSequencer<MultiEvent>> {
         self.sequencer.lock().expect("sequencer lock")
     }
 }
@@ -753,13 +650,13 @@ impl<T> PipelineShared<T> {
 /// counts a restart, and re-enters the worker around the same engine and
 /// the rest of the same batch. Returns the engine once the ring is
 /// closed and drained.
-fn supervise<E: StreamEngine>(
-    mut engine: E,
-    shared: &PipelineShared<E::Event>,
+fn supervise(
+    mut engine: MultiEngine,
+    shared: &PipelineShared,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
     probe: Option<fn(&CapturedFrame) -> bool>,
-) -> E {
+) -> MultiEngine {
     let mut batch = Batch::default();
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
@@ -789,7 +686,7 @@ fn supervise<E: StreamEngine>(
     }
 }
 
-fn quarantine_frame<T>(shared: &PipelineShared<T>, ticket: Ticket, reason: String) {
+fn quarantine_frame(shared: &PipelineShared, ticket: Ticket, reason: String) {
     shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
     shared
         .quarantine
@@ -813,9 +710,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// one from the ring, driving the engine and feeding the sequencer. Runs
 /// until the ring is closed and drained; panics unwind to
 /// [`supervise`].
-fn worker_loop<E: StreamEngine>(
-    engine: &mut E,
-    shared: &PipelineShared<E::Event>,
+fn worker_loop(
+    engine: &mut MultiEngine,
+    shared: &PipelineShared,
     batch: &mut Batch,
     stall_timeout: Option<Duration>,
     sweep_delay: Duration,
@@ -875,10 +772,11 @@ fn worker_loop<E: StreamEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EvalConfig;
     use crate::engine::resilience::{LateFramePolicy, ResilienceConfig};
+    use crate::engine::MultiConfig;
+    use crate::fusion::FusionSpec;
     use crate::params::NetworkParameter;
-    use wifiprint_ieee80211::{Frame, MacAddr, Rate};
+    use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 
     fn capture(dev: u64, t_us: u64, payload: usize) -> CapturedFrame {
         let sta = MacAddr::from_index(dev + 1);
@@ -891,11 +789,12 @@ mod tests {
         (0..n).map(|i| capture(i % 3, 500 * (i + 1), 200 + (i % 5) as usize * 100)).collect()
     }
 
-    fn engine(resilience: ResilienceConfig) -> Engine {
-        let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(3);
-        cfg.window = Nanos::from_millis(100);
-        Engine::builder()
+    fn engine(resilience: ResilienceConfig) -> MultiEngine {
+        let cfg = MultiConfig::default()
+            .with_min_observations(3)
+            .with_window(Nanos::from_millis(100));
+        MultiEngine::builder()
+            .spec(FusionSpec::single(NetworkParameter::InterArrivalTime))
             .config(cfg)
             .train_for(Nanos::from_millis(200))
             .resilience(resilience)

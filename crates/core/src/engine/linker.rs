@@ -2,9 +2,9 @@
 //! device identity.
 //!
 //! The paper's §VII headline is that passive fingerprints survive MAC
-//! address changes — the engines already hand every stranger's candidate
-//! signatures over in [`Event::NewDevice`] / [`MultiEvent::FusedNewDevice`]
-//! events, and this module is the consumer that closes the loop. A
+//! address changes — the engine already hands every stranger's candidate
+//! signatures over in [`MultiEvent::FusedNewDevice`] events, and this
+//! module is the consumer that closes the loop. A
 //! [`RotationLinker`] maintains a **gallery** of retained identities —
 //! one internal sharded [`ReferenceDb`] per fused parameter, so the hot
 //! path reuses the summary-pruned [`ReferenceDb::match_topk`] sweep —
@@ -74,7 +74,6 @@ use crate::signature::Signature;
 use crate::similarity::SimilarityMeasure;
 
 use super::multi::MultiEvent;
-use super::Event;
 
 /// A linker-assigned device identity: stable across however many MAC
 /// addresses the device rotates through.
@@ -448,8 +447,8 @@ impl RotationLinker {
     /// per-parameter candidate signatures a detection window produced
     /// for it — and returns the linking decision.
     ///
-    /// This is the core entry point; [`RotationLinker::observe_multi`] /
-    /// [`RotationLinker::observe_event`] adapt engine events onto it.
+    /// This is the core entry point; [`RotationLinker::observe_multi`]
+    /// adapts engine events onto it.
     /// Parameters outside the linker's spec are ignored; empty
     /// signatures never enter the gallery.
     pub fn link(
@@ -523,8 +522,8 @@ impl RotationLinker {
     /// own references) passes through as a signature-less sighting so
     /// its MAC binding stays warm. Other events return `None`.
     ///
-    /// `at` is the sighting time on the caller's clock (the engines
-    /// report window indices, not timestamps — multiply by the window
+    /// `at` is the sighting time on the caller's clock (the engine
+    /// reports window indices, not timestamps — multiply by the window
     /// length, or feed the capture clock).
     pub fn observe_multi(&mut self, event: &MultiEvent, at: Nanos) -> Option<LinkEvent> {
         match event {
@@ -532,26 +531,6 @@ impl RotationLinker {
                 Some(self.link(*device, at, signatures))
             }
             MultiEvent::FusedMatch { device, .. } => Some(self.link(*device, at, &[])),
-            _ => None,
-        }
-    }
-
-    /// Adapts a single-parameter engine event stream onto
-    /// [`RotationLinker::link`]; `parameter` names the parameter the
-    /// engine runs (an [`Event`] does not carry it). See
-    /// [`RotationLinker::observe_multi`] for the `at` contract.
-    pub fn observe_event(
-        &mut self,
-        event: &Event,
-        parameter: NetworkParameter,
-        at: Nanos,
-    ) -> Option<LinkEvent> {
-        match event {
-            Event::NewDevice { device, signature, .. } => {
-                let sigs = [(parameter, signature.clone())];
-                Some(self.link(*device, at, &sigs))
-            }
-            Event::Match { device, .. } => Some(self.link(*device, at, &[])),
             _ => None,
         }
     }
@@ -898,6 +877,50 @@ mod tests {
         let stats = linker.stats();
         assert_eq!(stats.linked_by_gallery, 1);
         assert_eq!(stats.new_identities, 2);
+        assert!(stats.conserves());
+    }
+
+    #[test]
+    fn observe_multi_adapts_one_parameter_engine_events() {
+        // A stranger's FusedNewDevice carries its signatures into a full
+        // sighting, a FusedMatch passes through signature-less (keeping
+        // its MAC binding warm), and other events are not sightings.
+        let mut linker = RotationLinker::new(single_cfg()).unwrap();
+        let stranger = |mac: u64| MultiEvent::FusedNewDevice {
+            window: 0,
+            device: MacAddr::randomized(mac),
+            signatures: sighting(500.0),
+            scores: Vec::new(),
+            fused: None,
+            degraded: Vec::new(),
+        };
+        let first = linker.observe_multi(&stranger(1), Nanos::from_secs(1));
+        let founded = first.and_then(|e| e.identity()).expect("a stranger founds");
+        let rotated = linker.observe_multi(&stranger(2), Nanos::from_secs(300));
+        assert!(
+            matches!(rotated, Some(LinkEvent::Linked { identity, .. }) if identity == founded),
+            "the rotated MAC links through the gallery: {rotated:?}"
+        );
+        let known = MultiEvent::FusedMatch {
+            window: 1,
+            device: MacAddr::randomized(2),
+            scores: Vec::new(),
+            fused: None,
+            degraded: Vec::new(),
+        };
+        assert_eq!(
+            linker.observe_multi(&known, Nanos::from_secs(600)),
+            Some(LinkEvent::Linked {
+                identity: founded,
+                mac: MacAddr::randomized(2),
+                confidence: 1.0
+            })
+        );
+        let closed = MultiEvent::WindowClosed { window: 1, candidates: 1, known: 1, unknown: 0 };
+        assert_eq!(linker.observe_multi(&closed, Nanos::from_secs(600)), None);
+        let stats = linker.stats();
+        let decisions = (stats.new_identities, stats.linked_by_gallery, stats.linked_by_mac);
+        assert_eq!(decisions, (1, 1, 1));
         assert!(stats.conserves());
     }
 

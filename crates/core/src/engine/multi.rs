@@ -1,38 +1,41 @@
-//! The fused five-parameter streaming engine.
+//! The fused streaming engine.
 //!
-//! The paper's headline accuracy comes from combining the network
-//! parameters, yet a single [`Engine`](super::Engine) runs exactly one.
-//! Running five engines side by side — as the analysis pipeline used to —
-//! re-parses every frame five times, keeps five copies of the timing
-//! history, and five window clocks that can only ever agree. The
-//! [`MultiEngine`] collapses all of that:
+//! The paper scores each network parameter on its own and gets its
+//! headline accuracy from combining them. Running one engine per
+//! parameter side by side would re-parse every frame once per
+//! parameter, keep one copy of the timing history per parameter, and
+//! as many window clocks that can only ever agree. The [`MultiEngine`]
+//! runs any [`FusionSpec`] — one parameter ([`FusionSpec::single`]) up
+//! to all five — on:
 //!
 //! * **one fused extraction** — a single [`FusedExtractor`] pass per
-//!   frame yields all five [`NetworkParameter`] observations from one
+//!   frame yields every [`NetworkParameter`] observation from one
 //!   header parse and one shared previous-frame timestamp;
 //! * **one shared window clock** — a single [`WindowClock`] decides when
 //!   detection windows seal for every parameter, so per-parameter
 //!   decisions are always aligned;
 //! * **online score fusion** — as each window closes, every candidate is
-//!   swept against each parameter's [`ReferenceDb`] (the same tiled
-//!   `f32` SIMD sweep the single engine uses) and the per-parameter
-//!   similarity vectors are combined into one weighted-average
-//!   [`FusedOutcome`] per [`fusion`](crate::fusion) spec — the online
-//!   port of what the analysis crate's fusion evaluator did offline at
-//!   end-of-trace.
+//!   swept against each parameter's [`ReferenceDb`] in tiles
+//!   ([`ReferenceDb::match_tile`]) and the per-parameter similarity
+//!   vectors are combined into one weighted-average [`FusedOutcome`]
+//!   per [`fusion`](crate::fusion) spec — the online port of what the
+//!   analysis crate's fusion evaluator did offline at end-of-trace.
 //!
-//! Events mirror the single engine's, fused: [`MultiEvent::FusedMatch`]
-//! / [`MultiEvent::FusedNewDevice`] carry one [`ParameterDecision`] per
-//! parameter the candidate qualified for (its per-parameter similarity
-//! vector) plus the combined score, and fire the moment the window
-//! closes — or when [`MultiEngine::advance_to`] / [`MultiEngine::tick`]
-//! seal it on wall clock, so a quiet channel cannot stall the last
-//! decision.
+//! [`MultiEvent::FusedMatch`] / [`MultiEvent::FusedNewDevice`] carry one
+//! [`ParameterDecision`] per parameter the candidate qualified for (its
+//! per-parameter similarity vector) plus the combined score, and fire
+//! the moment the window closes — or when [`MultiEngine::advance_to`] /
+//! [`MultiEngine::tick`] seal it on wall clock, so a quiet channel cannot
+//! stall the last decision.
 //!
-//! Per-parameter decisions are **bit-for-bit** the five single engines'
-//! decisions (same argmax, scores within
-//! [`F32_SCORE_TOLERANCE`](crate::F32_SCORE_TOLERANCE)); an end-to-end
-//! test pins this on the office and conference scenarios.
+//! Per-parameter decisions are the batch path's decisions
+//! ([`SignatureBuilder`](crate::SignatureBuilder) references,
+//! [`WindowedSignatures`](crate::WindowedSignatures) candidates,
+//! [`ReferenceDb::match_signature_with`] scores): the same
+//! `(window, device)` sequence and argmax, and scores within
+//! [`F32_SCORE_TOLERANCE`](crate::F32_SCORE_TOLERANCE). An end-to-end
+//! test pins this on the office and conference scenarios for every
+//! parameter.
 //!
 //! # Example
 //!
@@ -92,8 +95,7 @@ use super::{EngineError, EnginePhase};
 /// shares one filter, estimator, window length and observation floor
 /// across all parameters (per-parameter bins come from
 /// [`default_bins`]); [`MultiConfig::eval_config`] projects the
-/// equivalent single-parameter configuration, which is exactly what a
-/// side-by-side [`Engine`](super::Engine) would run.
+/// equivalent single-parameter configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiConfig {
     /// Minimum observations per candidate signature, per parameter (the
@@ -165,9 +167,10 @@ impl MultiConfig {
     }
 
     /// The single-parameter [`EvalConfig`] this multi-configuration is
-    /// equivalent to for one parameter — the configuration a
-    /// side-by-side [`Engine`](super::Engine) would need to reproduce
-    /// the [`MultiEngine`]'s per-parameter decisions.
+    /// equivalent to for one parameter — the configuration the batch
+    /// path ([`SignatureBuilder`](crate::SignatureBuilder),
+    /// [`WindowedSignatures`](crate::WindowedSignatures)) needs to
+    /// reproduce the [`MultiEngine`]'s per-parameter decisions.
     pub fn eval_config(&self, parameter: NetworkParameter) -> EvalConfig {
         EvalConfig {
             parameter,
@@ -354,8 +357,13 @@ impl MultiEngineBuilder {
     }
 
     /// Whether candidates outside the common enrolled set are scored
-    /// against the reference matrices (default `true`); see
-    /// [`EngineBuilder::score_unknown`](super::EngineBuilder::score_unknown).
+    /// against the reference matrices (default `true`). Scoring
+    /// strangers answers "who does this newcomer most resemble" — the
+    /// MAC-randomisation tracking question — but costs one full
+    /// reference sweep per stranger per parameter per window; consumers
+    /// that only *count* new devices (e.g. the accuracy pipeline) can
+    /// turn it off, in which case their views are empty and `fused` is
+    /// `None`.
     #[must_use]
     pub fn score_unknown(mut self, score: bool) -> Self {
         self.score_unknown = score;
@@ -502,8 +510,8 @@ enum MultiPhase {
     Finished { references: Vec<ReferenceDb> },
 }
 
-/// The fused five-parameter ingest → window → match → fuse facade (see
-/// the [module docs](self)).
+/// The fused ingest → window → match → fuse facade (see the [module
+/// docs](self)).
 #[derive(Debug)]
 pub struct MultiEngine {
     spec: FusionSpec,
@@ -517,7 +525,7 @@ pub struct MultiEngine {
     score_unknown: bool,
     /// Warm [`MatchScratch`]es reused across window closes: the
     /// per-parameter fan-out checks one out per worker and returns it,
-    /// keeping the steady state allocation-free like the single engine.
+    /// keeping the steady state allocation-free.
     scratches: Vec<MatchScratch>,
     origin: Option<Nanos>,
     /// The resilience gatekeeper every arrival passes through (dedup →
@@ -595,8 +603,8 @@ impl MultiEngine {
             }
             // First frame past the boundary: enroll, freeze, switch to
             // detection (resetting the shared timing history, like the
-            // single-parameter path's fresh detection extractor), then
-            // treat this frame as the first detection frame below.
+            // batch path's fresh detection windows), then treat this
+            // frame as the first detection frame below.
             self.end_training(events)?;
         }
 
@@ -655,12 +663,21 @@ impl MultiEngine {
     }
 
     /// Advances the engine's clock to wall-clock time `t` **without a
-    /// frame** — the event-driven close for quiet channels, with the
-    /// same contract as [`Engine::advance_to`](super::Engine::advance_to):
-    /// ends the training phase when `t` passes its boundary, seals and
-    /// scores an open detection window whose end lies at or before `t`,
-    /// is a no-op at or before the newest frame, and advances the
-    /// monotonicity floor.
+    /// frame** — the event-driven close for quiet channels. Windows
+    /// normally seal when a *later frame* arrives; on a silent channel
+    /// that later frame may never come, stalling the open window's
+    /// decision indefinitely. `advance_to(t)` asserts that the capture
+    /// clock has reached `t` (same clock domain as the frame timestamps)
+    /// and emits exactly the events a frame at `t` would have triggered,
+    /// minus the frame: the training phase ends when `t` passes its
+    /// boundary, and an open detection window whose end lies at or
+    /// before `t` seals and scores.
+    ///
+    /// A tick at or before the newest frame's timestamp is a no-op
+    /// (monitor wall clocks may lag the capture path slightly); a tick
+    /// *ahead* of the stream advances the monotonicity floor, so frames
+    /// older than `t` are subsequently rejected as
+    /// [`EngineError::NonMonotonicFrame`].
     ///
     /// # Errors
     ///
@@ -711,8 +728,12 @@ impl MultiEngine {
         Ok(events)
     }
 
-    /// Forces a decision on the still-open detection window *now* (see
-    /// [`Engine::tick`](super::Engine::tick)).
+    /// Forces a decision on the still-open detection window *now*:
+    /// advances the clock to the window's own end (see
+    /// [`MultiEngine::advance_to`]), sealing and scoring it immediately.
+    /// A no-op while training (the training boundary needs a wall-clock
+    /// timestamp, which a bare tick does not carry) or when no window is
+    /// open.
     ///
     /// # Errors
     ///
@@ -873,8 +894,8 @@ impl MultiEngine {
 
     /// Training → detection: per parameter, enroll the devices that met
     /// the floor, freeze, emit [`MultiEvent::Enrolled`]s. A parameter
-    /// that enrolled nobody degrades to an empty (frozen) database —
-    /// exactly like the single engine's empty-training degradation.
+    /// that enrolled nobody degrades to an empty (frozen) database: the
+    /// engine keeps running and flags its candidates as new.
     fn end_training(&mut self, events: &mut Vec<MultiEvent>) -> Result<(), EngineError> {
         let MultiPhase::Training { devices, .. } =
             std::mem::replace(&mut self.phase, MultiPhase::Finished { references: Vec::new() })
@@ -883,8 +904,8 @@ impl MultiEngine {
         };
         // `max(1)`: a parameter a device never produced an observation
         // for has an empty signature in the fused per-device vector;
-        // the single-parameter SignatureBuilder never tracked such a
-        // device at all, and the reference database rejects empty rows.
+        // the batch SignatureBuilder never tracks such a device at all,
+        // and the reference database rejects empty rows.
         let min = self.cfg.min_observations.max(1);
         let mut references: Vec<ReferenceDb> = (0..self.spec.len())
             .map(|_| ReferenceDb::with_config(self.cfg.match_config))
@@ -907,9 +928,9 @@ impl MultiEngine {
         for db in &mut references {
             db.freeze();
         }
-        // The single-parameter path starts detection with a fresh
-        // extractor (no history across the split); mirror that so
-        // per-parameter decisions stay bit-identical.
+        // The batch path starts detection with fresh windows (no
+        // history across the split); mirror that so per-parameter
+        // decisions equal it.
         self.extractor.reset_history();
         self.phase = MultiPhase::Detecting(DetectState::new(references, &self.spec, self.cfg.window));
         Ok(())
@@ -973,7 +994,7 @@ fn close_multi_window(
 
     let CloseArgs { spec, cfg, state, score_unknown, quorum } = *args;
     // `max(1)`: parameters with zero observations stay out, exactly as
-    // they never enter a single-parameter window's candidate map.
+    // they never enter a batch window's candidate map.
     let min = cfg.min_observations.max(1);
     let n_params = spec.len();
 
@@ -994,8 +1015,7 @@ fn close_multi_window(
         .collect();
 
     // One tiled sweep per parameter over the candidates that qualified
-    // for it — the same matrix–matrix path the single engine drives,
-    // skipping strangers when their scoring is off. The five sweeps are
+    // for it, skipping strangers when their scoring is off. The sweeps are
     // independent by construction (each reads its own sharded reference
     // database), so with the `parallel` feature they fan out across
     // `batch::map_tiles_with_scratch` — one parameter per work unit, one
@@ -1132,8 +1152,9 @@ fn close_multi_window(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Engine, Event};
     use super::*;
+    use crate::signature::SignatureBuilder;
+    use crate::windows::WindowedSignatures;
     use crate::F32_SCORE_TOLERANCE;
     use wifiprint_ieee80211::{Frame, Rate};
 
@@ -1231,10 +1252,12 @@ mod tests {
     }
 
     #[test]
-    fn per_parameter_decisions_match_five_single_engines() {
-        // The fused engine must reproduce each single-parameter engine's
-        // decisions bit for bit: same (window, device) sequence per
-        // parameter, same argmax, same scores.
+    fn per_parameter_decisions_match_the_batch_path() {
+        // Per parameter, the fused engine must reproduce the batch
+        // path's decisions: references learned by a SignatureBuilder
+        // over the training split, candidates from WindowedSignatures
+        // over the rest, each scored by match_signature_with — same
+        // (window, device) sequence, same argmax, same scores.
         let mcfg = cfg(1, 5);
         let train = Nanos::from_secs(2);
         let mut frames = training_frames();
@@ -1254,53 +1277,48 @@ mod tests {
         let mut multi_events = multi.observe_all(&frames).unwrap();
         multi_events.append(&mut multi.finish().unwrap());
 
+        let origin = frames[0].t_end;
+        let mut scratch = MatchScratch::new();
         for param in NetworkParameter::ALL {
-            let mut single = Engine::builder()
-                .config(mcfg.eval_config(param))
-                .train_for(train)
-                .build()
-                .unwrap();
-            let mut single_events = single.observe_all(&frames).unwrap();
-            single_events.append(&mut single.finish().unwrap());
+            let eval = mcfg.eval_config(param);
+            let mut trainer = SignatureBuilder::new(&eval);
+            let mut validator = WindowedSignatures::new(&eval);
+            for f in &frames {
+                if f.t_end.saturating_sub(origin) < train {
+                    trainer.push(f);
+                } else {
+                    validator.push(f);
+                }
+            }
+            let db = ReferenceDb::from_signatures(trainer.finish().unwrap_or_default());
+            let candidates = validator.finish();
 
             // Reference databases agree.
-            let sdb = single.reference().expect("trained");
             let mdb = multi.reference(param).expect("trained");
             assert_eq!(
-                sdb.devices().collect::<Vec<_>>(),
+                db.devices().collect::<Vec<_>>(),
                 mdb.devices().collect::<Vec<_>>(),
                 "{param}: enrolled devices"
             );
 
             // Per-window decisions agree.
-            let single_decisions: Vec<(usize, MacAddr, MatchOutcome)> = single_events
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::Match { window, device, view }
-                    | Event::NewDevice { window, device, view, .. } => {
-                        Some((window, device, view))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let multi_decisions: Vec<(usize, MacAddr, MatchOutcome)> = multi_events
+            let multi_decisions: Vec<(usize, MacAddr, &MatchOutcome)> = multi_events
                 .iter()
                 .filter_map(|e| match e {
                     MultiEvent::FusedMatch { window, device, scores, .. }
                     | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
                         .iter()
                         .find(|d| d.parameter == param)
-                        .map(|d| (*window, *device, d.view.clone())),
+                        .map(|d| (*window, *device, &d.view)),
                     _ => None,
                 })
                 .collect();
-            assert_eq!(
-                single_decisions.len(),
-                multi_decisions.len(),
-                "{param}: decision count"
-            );
-            for ((sw, sd, sv), (mw, md, mv)) in single_decisions.iter().zip(&multi_decisions) {
-                assert_eq!((sw, sd), (mw, md), "{param}: decision identity");
+            assert_eq!(candidates.len(), multi_decisions.len(), "{param}: decision count");
+            assert!(!candidates.is_empty(), "{param}: no decisions to compare");
+            for (cand, (mw, md, mv)) in candidates.iter().zip(&multi_decisions) {
+                let (sw, sd) = (cand.index, cand.device);
+                assert_eq!((sw, sd), (*mw, *md), "{param}: decision identity");
+                let sv = db.match_signature_with(&cand.signature, mcfg.measure, &mut scratch);
                 assert_eq!(
                     sv.best().map(|(d, _)| d),
                     mv.best().map(|(d, _)| d),
@@ -1616,6 +1634,37 @@ mod tests {
             seen += 1;
         }
         assert!(seen > 0);
+    }
+
+    #[test]
+    fn one_parameter_spec_enrolls_and_references_only_its_parameter() {
+        // The fused parse extracts every parameter, but a
+        // FusionSpec::single engine records, enrolls and hands back
+        // exactly its one.
+        let param = NetworkParameter::TransmissionRate;
+        let mut engine = MultiEngine::builder()
+            .spec(FusionSpec::single(param))
+            .config(cfg(10, 5))
+            .train_for(Nanos::from_secs(3600))
+            .build()
+            .unwrap();
+        engine.observe_all(&training_frames()).unwrap();
+        let events = engine.finish().unwrap();
+        let enrolled: Vec<&Vec<(NetworkParameter, u64)>> = events
+            .iter()
+            .filter_map(|e| match e {
+                MultiEvent::Enrolled { observations, .. } => Some(observations),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(enrolled.len(), 3);
+        assert!(enrolled.iter().all(|obs| obs.as_slice() == [(param, 40)]), "{enrolled:?}");
+        for other in NetworkParameter::ALL.into_iter().filter(|&p| p != param) {
+            assert!(engine.reference(other).is_none(), "{other} is outside the spec");
+        }
+        let dbs = engine.into_references();
+        assert_eq!(dbs.keys().copied().collect::<Vec<_>>(), [param]);
+        assert_eq!(dbs[&param].len(), 3);
     }
 
     #[test]

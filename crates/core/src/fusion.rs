@@ -49,9 +49,9 @@ impl FusionSpec {
         }
     }
 
-    /// A single-parameter "fusion" — useful for driving the
-    /// [`MultiEngine`](crate::engine::MultiEngine) as a drop-in for one
-    /// single-parameter engine.
+    /// A single-parameter "fusion": the one-parameter shape of the
+    /// [`MultiEngine`](crate::engine::MultiEngine), whose fused score is
+    /// that parameter's score.
     pub fn single(parameter: NetworkParameter) -> Self {
         FusionSpec { parameters: vec![(parameter, 1.0)] }
     }

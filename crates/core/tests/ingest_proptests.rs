@@ -1,14 +1,13 @@
-//! Property tests for the supervised ingest front: under
-//! `OverloadPolicy::Block` with no faults and no watchdog, the pipeline
-//! delivers events *bit-identical* to synchronous `observe` on both
-//! engines; poison frames quarantined by panic isolation behave exactly
-//! as if they had never been captured; and every run reconciles exactly
-//! against the `EngineHealth` conservation law.
+//! Property tests for the supervised ingest front, each at one-parameter
+//! and fused spec width: under `OverloadPolicy::Block` with no faults
+//! and no watchdog, the pipeline delivers events *bit-identical* to
+//! synchronous `observe`; poison frames quarantined by panic isolation
+//! behave exactly as if they had never been captured; and every run
+//! reconciles exactly against the `EngineHealth` conservation law.
 
 use proptest::prelude::*;
 use wifiprint_core::{
-    Engine, EvalConfig, FusionSpec, IngestConfig, IngestPipeline, MultiConfig, MultiEngine,
-    NetworkParameter, ResilienceConfig,
+    FusionSpec, IngestConfig, IngestPipeline, MultiConfig, MultiEngine, NetworkParameter,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -41,44 +40,27 @@ fn arb_ordered_stream() -> impl Strategy<Value = Vec<CapturedFrame>> {
     )
 }
 
-fn build_engine(resilience: ResilienceConfig) -> Engine {
-    let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-        .with_min_observations(3);
-    cfg.window = Nanos::from_millis(300);
-    Engine::builder()
-        .config(cfg)
-        .train_for(Nanos::from_millis(600))
-        .resilience(resilience)
-        .build()
-        .expect("valid engine configuration")
+/// The spec widths every property runs at: one parameter (the paper's
+/// per-parameter tests) and all five fused.
+fn specs() -> [FusionSpec; 2] {
+    [FusionSpec::single(NetworkParameter::InterArrivalTime), FusionSpec::all_equal()]
 }
 
-fn build_multi(resilience: ResilienceConfig) -> MultiEngine {
+fn build(spec: &FusionSpec) -> MultiEngine {
     let cfg = MultiConfig::default()
         .with_min_observations(3)
         .with_window(Nanos::from_millis(300));
     MultiEngine::builder()
-        .spec(FusionSpec::all_equal())
+        .spec(spec.clone())
         .config(cfg)
         .train_for(Nanos::from_millis(600))
-        .resilience(resilience)
         .build()
         .expect("valid engine configuration")
 }
 
 /// The synchronous baseline: observe + finish, events as a Debug string.
-fn sync_events_engine(frames: &[CapturedFrame]) -> String {
-    let mut engine = build_engine(ResilienceConfig::default());
-    let mut events = Vec::new();
-    for f in frames {
-        events.extend(engine.observe(f).expect("in-order frame"));
-    }
-    events.extend(engine.finish().expect("finish"));
-    format!("{events:?}")
-}
-
-fn sync_events_multi(frames: &[CapturedFrame]) -> String {
-    let mut engine = build_multi(ResilienceConfig::default());
+fn sync_events(spec: &FusionSpec, frames: &[CapturedFrame]) -> String {
+    let mut engine = build(spec);
     let mut events = Vec::new();
     for f in frames {
         events.extend(engine.observe(f).expect("in-order frame"));
@@ -99,41 +81,25 @@ proptest! {
     // synchronously — same events, bit for bit, and an exactly
     // reconciled ledger.
     #[test]
-    fn block_pipeline_is_bit_identical_to_sync_observe_on_the_engine(
-        frames in arb_ordered_stream(),
-        capacity in 1usize..64,
-    ) {
-        let want = sync_events_engine(&frames);
-        let cfg = IngestConfig::default().with_capacity(capacity);
-        let pipeline = IngestPipeline::spawn(build_engine(ResilienceConfig::default()), cfg)
-            .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open pipeline");
-        }
-        let report = pipeline.finish().expect("terminates");
-        prop_assert_eq!(format!("{:?}", report.events), want);
-        prop_assert_eq!(report.health.frames_seen as usize, frames.len());
-        prop_assert_eq!(report.health.frames_shed, 0);
-        prop_assert_eq!(report.health.frames_quarantined, 0);
-        prop_assert_eq!(report.delivered as usize, frames.len());
-        prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
-    }
-
-    #[test]
     fn block_pipeline_is_bit_identical_to_sync_observe_on_the_multi_engine(
         frames in arb_ordered_stream(),
         capacity in 1usize..64,
     ) {
-        let want = sync_events_multi(&frames);
-        let cfg = IngestConfig::default().with_capacity(capacity);
-        let pipeline = IngestPipeline::spawn(build_multi(ResilienceConfig::default()), cfg)
-            .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open pipeline");
+        for spec in specs() {
+            let want = sync_events(&spec, &frames);
+            let cfg = IngestConfig::default().with_capacity(capacity);
+            let pipeline = IngestPipeline::spawn(build(&spec), cfg).expect("spawn");
+            for f in &frames {
+                pipeline.submit(f).expect("open pipeline");
+            }
+            let report = pipeline.finish().expect("terminates");
+            prop_assert_eq!(format!("{:?}", report.events), want);
+            prop_assert_eq!(report.health.frames_seen as usize, frames.len());
+            prop_assert_eq!(report.health.frames_shed, 0);
+            prop_assert_eq!(report.health.frames_quarantined, 0);
+            prop_assert_eq!(report.delivered as usize, frames.len());
+            prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
         }
-        let report = pipeline.finish().expect("terminates");
-        prop_assert_eq!(format!("{:?}", report.events), want);
-        prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
     }
 
     // Panic isolation as a stream property: a pipeline whose worker
@@ -156,19 +122,19 @@ proptest! {
         }
         let clean: Vec<CapturedFrame> =
             frames.iter().copied().filter(|f| !is_poison(f)).collect();
-        let want = sync_events_engine(&clean);
-
-        let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
-        let pipeline = IngestPipeline::spawn(build_engine(ResilienceConfig::default()), cfg)
-            .expect("spawn");
-        for f in &frames {
-            pipeline.submit(f).expect("open pipeline");
+        for spec in specs() {
+            let want = sync_events(&spec, &clean);
+            let cfg = IngestConfig::default().with_panic_probe(Some(is_poison));
+            let pipeline = IngestPipeline::spawn(build(&spec), cfg).expect("spawn");
+            for f in &frames {
+                pipeline.submit(f).expect("open pipeline");
+            }
+            let report = pipeline.finish().expect("survives every panic");
+            prop_assert_eq!(format!("{:?}", report.events), want);
+            prop_assert_eq!(report.health.frames_quarantined, poisoned);
+            prop_assert_eq!(report.health.workers_restarted, poisoned);
+            prop_assert_eq!(report.delivered as usize, clean.len());
+            prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
         }
-        let report = pipeline.finish().expect("survives every panic");
-        prop_assert_eq!(format!("{:?}", report.events), want);
-        prop_assert_eq!(report.health.frames_quarantined, poisoned);
-        prop_assert_eq!(report.health.workers_restarted, poisoned);
-        prop_assert_eq!(report.delivered as usize, clean.len());
-        prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
     }
 }

@@ -1,13 +1,13 @@
-//! Property tests for the ingest-hardening layer: the `Reorder` policy
-//! restores any stream shuffled within a bounded horizon to bit-identical
-//! event streams on both engines, and the `Drop`/`Reject` policies never
-//! corrupt window state — the engine behaves exactly as if the late
-//! frames had never been captured.
+//! Property tests for the ingest-hardening layer, each at one-parameter
+//! and fused spec width: the `Reorder` policy restores any stream
+//! shuffled within a bounded horizon to bit-identical event streams, and
+//! the `Drop`/`Reject` policies never corrupt window state — the engine
+//! behaves exactly as if the late frames had never been captured.
 
 use proptest::prelude::*;
 use wifiprint_core::{
-    Engine, EngineHealth, EvalConfig, FusionSpec, LateFramePolicy, MultiConfig, MultiEngine,
-    NetworkParameter, ResilienceConfig,
+    EngineHealth, FusionSpec, LateFramePolicy, MultiConfig, MultiEngine, NetworkParameter,
+    ResilienceConfig,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -86,43 +86,27 @@ fn prefix_max_subsequence(frames: &[CapturedFrame]) -> Vec<CapturedFrame> {
     kept
 }
 
-/// Runs the single-parameter engine over `frames`; `Err` from `observe`
-/// (a rejected late frame) is skipped, which must leave the engine
-/// undisturbed. Returns the Debug rendering of the full event stream
-/// plus the final health counters.
-fn run_engine(frames: &[CapturedFrame], resilience: ResilienceConfig) -> (String, EngineHealth) {
-    let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-        .with_min_observations(3);
-    cfg.window = Nanos::from_millis(300);
-    let mut engine = Engine::builder()
-        .config(cfg)
-        .train_for(Nanos::from_millis(600))
-        .resilience(resilience)
-        .build()
-        .expect("valid engine configuration");
-    let mut events = Vec::new();
-    let mut rejected = 0u64;
-    for f in frames {
-        match engine.observe(f) {
-            Ok(mut ev) => events.append(&mut ev),
-            Err(_) => rejected += 1,
-        }
-    }
-    events.extend(engine.finish().expect("finish"));
-    let mut health = engine.health();
-    // Fold rejections into the late counter so both reject and drop runs
-    // report drops the same way to the caller.
-    health.frames_late_dropped += rejected;
-    (format!("{events:?}"), health)
+/// The spec widths every property runs at: one parameter (the paper's
+/// per-parameter tests) and all five fused.
+fn specs() -> [FusionSpec; 2] {
+    [FusionSpec::single(NetworkParameter::InterArrivalTime), FusionSpec::all_equal()]
 }
 
-/// Same shape for the fused five-parameter engine.
-fn run_multi(frames: &[CapturedFrame], resilience: ResilienceConfig) -> (String, EngineHealth) {
+/// Runs the engine at `spec` width over `frames`; `Err` from `observe`
+/// (a rejected late frame) is skipped, which must leave the engine
+/// undisturbed. Returns the Debug rendering of the full event stream
+/// plus the final health counters, with rejections folded into the
+/// late counter so reject and drop runs report drops the same way.
+fn run(
+    spec: &FusionSpec,
+    frames: &[CapturedFrame],
+    resilience: ResilienceConfig,
+) -> (String, EngineHealth) {
     let cfg = MultiConfig::default()
         .with_min_observations(3)
         .with_window(Nanos::from_millis(300));
     let mut engine = MultiEngine::builder()
-        .spec(FusionSpec::all_equal())
+        .spec(spec.clone())
         .config(cfg)
         .train_for(Nanos::from_millis(600))
         .resilience(resilience)
@@ -148,24 +132,6 @@ proptest! {
     // to the in-order stream — same enrollments, same windows, same
     // similarity scores.
     #[test]
-    fn reorder_restores_bounded_shuffles_on_the_engine(
-        frames in arb_ordered_stream(),
-        block in 2usize..=8,
-        seed in any::<u64>(),
-    ) {
-        let shuffled = block_shuffle(&frames, block, seed);
-        let resilience = ResilienceConfig::default()
-            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 2 * block });
-        let (ordered, ordered_health) = run_engine(&frames, resilience.clone());
-        let (restored, restored_health) = run_engine(&shuffled, resilience);
-        prop_assert_eq!(ordered, restored);
-        prop_assert_eq!(restored_health.frames_late_dropped, 0,
-            "a 2x-horizon buffer never drops a block-shuffled frame");
-        prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
-        prop_assert_eq!(ordered_health.frames_reordered, 0);
-    }
-
-    #[test]
     fn reorder_restores_bounded_shuffles_on_the_multi_engine(
         frames in arb_ordered_stream(),
         block in 2usize..=8,
@@ -174,10 +140,15 @@ proptest! {
         let shuffled = block_shuffle(&frames, block, seed);
         let resilience = ResilienceConfig::default()
             .with_late_policy(LateFramePolicy::Reorder { max_lateness: 2 * block });
-        let (ordered, _) = run_multi(&frames, resilience.clone());
-        let (restored, restored_health) = run_multi(&shuffled, resilience);
-        prop_assert_eq!(ordered, restored);
-        prop_assert_eq!(restored_health.frames_late_dropped, 0);
+        for spec in specs() {
+            let (ordered, ordered_health) = run(&spec, &frames, resilience.clone());
+            let (restored, restored_health) = run(&spec, &shuffled, resilience.clone());
+            prop_assert_eq!(ordered, restored);
+            prop_assert_eq!(restored_health.frames_late_dropped, 0,
+                "a 2x-horizon buffer never drops a block-shuffled frame");
+            prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
+            prop_assert_eq!(ordered_health.frames_reordered, 0);
+        }
     }
 
     // `Drop` on a dirty stream behaves exactly like the clean stream
@@ -188,17 +159,14 @@ proptest! {
         dirty in arb_dirty_stream(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_engine(&clean, ResilienceConfig::default());
         let drop_cfg = ResilienceConfig::default().with_late_policy(LateFramePolicy::Drop);
-        let (got, health) = run_engine(&dirty, drop_cfg.clone());
-        prop_assert_eq!(want, got);
-        prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
-        prop_assert_eq!(health.frames_seen as usize, dirty.len());
-
-        let (want_multi, _) = run_multi(&clean, ResilienceConfig::default());
-        let (got_multi, multi_health) = run_multi(&dirty, drop_cfg);
-        prop_assert_eq!(want_multi, got_multi);
-        prop_assert_eq!(multi_health.frames_late_dropped as usize, dirty.len() - clean.len());
+        for spec in specs() {
+            let (want, _) = run(&spec, &clean, ResilienceConfig::default());
+            let (got, health) = run(&spec, &dirty, drop_cfg.clone());
+            prop_assert_eq!(want, got);
+            prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
+            prop_assert_eq!(health.frames_seen as usize, dirty.len());
+        }
     }
 
     // Default `Reject` returns an error for each late frame but leaves
@@ -210,13 +178,11 @@ proptest! {
         dirty in arb_dirty_stream(),
     ) {
         let clean = prefix_max_subsequence(&dirty);
-        let (want, _) = run_engine(&clean, ResilienceConfig::default());
-        let (got, health) = run_engine(&dirty, ResilienceConfig::default());
-        prop_assert_eq!(want, got);
-        prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
-
-        let (want_multi, _) = run_multi(&clean, ResilienceConfig::default());
-        let (got_multi, _) = run_multi(&dirty, ResilienceConfig::default());
-        prop_assert_eq!(want_multi, got_multi);
+        for spec in specs() {
+            let (want, _) = run(&spec, &clean, ResilienceConfig::default());
+            let (got, health) = run(&spec, &dirty, ResilienceConfig::default());
+            prop_assert_eq!(want, got);
+            prop_assert_eq!(health.frames_late_dropped as usize, dirty.len() - clean.len());
+        }
     }
 }

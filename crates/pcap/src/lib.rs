@@ -129,8 +129,7 @@ mod writer;
 pub use format::{LinkType, PcapError, Record, RecordMeta, TsPrecision, MAGIC_MICROS, MAGIC_NANOS};
 pub use reader::{Reader, SliceReader};
 pub use replay::{
-    replay_into_engine, replay_into_multi, ReadSource, RecordSource, Replay, ReplayError,
-    ReplayStats,
+    replay_into_multi, ReadSource, RecordSource, Replay, ReplayError, ReplayStats,
 };
 pub use writer::Writer;
 

@@ -5,12 +5,13 @@ use std::collections::BTreeMap;
 
 use wifiprint::analysis::{evaluate_frames, PipelineConfig};
 use wifiprint::core::{
-    load_db, save_db, Engine, EvalConfig, Event, FusionSpec, MatchConfig, MatchOutcome,
+    load_db, save_db, CandidateWindow, EvalConfig, FusionSpec, MatchConfig, MatchOutcome,
     MatchScratch, MultiConfig, MultiEngine, MultiEvent, NetworkParameter, ReferenceDb,
     ResilienceConfig, ShardStrategy, SignatureBuilder, SimilarityMeasure, WindowedSignatures,
     F32_SCORE_TOLERANCE,
 };
 use wifiprint::ieee80211::{FrameKind, MacAddr, Nanos};
+use wifiprint::radiotap::CapturedFrame;
 use wifiprint::scenarios::export::{read_pcap, write_pcap};
 use wifiprint::scenarios::{ConferenceScenario, FaradayRig, OfficeScenario, FARADAY_DEVICE};
 
@@ -179,122 +180,152 @@ fn anonymous_control_frames_never_produce_observations() {
     }
 }
 
-#[test]
-fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
-    // The acceptance equivalence for the Engine redesign: the streaming
-    // path must reproduce the batch flow's per-window match decisions —
-    // same (window, device) sequence, same argmax, scores within the
-    // documented f32 tolerance — on both of the paper's trace shapes,
-    // and the (engine-driven) analysis pipeline must agree on the
-    // aggregate counts.
-    let traces = [
-        ("office", OfficeScenario::small(5, 300, 10).run_collect()),
-        ("conference", ConferenceScenario::small(7, 300, 12).run_collect()),
-    ];
-    for (name, trace) in traces {
-        let mut cfg = EvalConfig::for_parameter(NetworkParameter::InterArrivalTime)
-            .with_min_observations(50);
-        cfg.window = Nanos::from_secs(50);
-        let train = Nanos::from_secs(100);
-
-        // Batch flow: split at the training boundary, learn, window the
-        // validation portion, sweep every candidate at the end.
-        let origin = trace.frames[0].t_end;
-        let mut trainer = SignatureBuilder::new(&cfg);
-        let mut validator = WindowedSignatures::new(&cfg);
-        for f in &trace.frames {
-            if f.t_end.saturating_sub(origin) < train {
-                trainer.push(f);
-            } else {
-                validator.push(f);
-            }
+/// The batch path for one parameter: references learned by a
+/// `SignatureBuilder` over the training split (anchored at the first
+/// frame), candidates windowed by `WindowedSignatures` over the rest.
+fn batch_path(
+    cfg: &EvalConfig,
+    frames: &[CapturedFrame],
+    train: Nanos,
+) -> (ReferenceDb, Vec<CandidateWindow>) {
+    let origin = frames[0].t_end;
+    let mut trainer = SignatureBuilder::new(cfg);
+    let mut validator = WindowedSignatures::new(cfg);
+    for f in frames {
+        if f.t_end.saturating_sub(origin) < train {
+            trainer.push(f);
+        } else {
+            validator.push(f);
         }
-        let db = ReferenceDb::from_signatures(trainer.finish().expect("devices qualify"));
-        let candidates = validator.finish();
-        assert!(!candidates.is_empty(), "{name}: batch flow must produce candidates");
+    }
+    (ReferenceDb::from_signatures(trainer.finish().unwrap_or_default()), validator.finish())
+}
 
-        // Streaming flow: the engine over the identical frame stream.
-        let mut engine = Engine::builder()
-            .config(cfg.clone())
-            .train_for(train)
-            .build()
-            .expect("valid engine configuration");
-        let mut events = engine.observe_all(&trace.frames).expect("frames in capture order");
-        events.extend(engine.finish().expect("first finish"));
+/// One parameter's decisions in an engine event stream, in event order:
+/// `(window, device, view)`.
+fn parameter_decisions(
+    events: &[MultiEvent],
+    param: NetworkParameter,
+) -> Vec<(usize, MacAddr, &MatchOutcome)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            MultiEvent::FusedMatch { window, device, scores, .. }
+            | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
+                .iter()
+                .find(|d| d.parameter == param)
+                .map(|d| (*window, *device, &d.view)),
+            _ => None,
+        })
+        .collect()
+}
 
-        // The online-enrolled reference matches the batch-learned one.
-        let engine_db = engine.into_reference().expect("trained reference");
+/// Asserts that an engine's decisions for one parameter are the batch
+/// path's: the same `(window, device)` sequence, the same argmax, and
+/// every score within the documented `f32` tolerance of
+/// `match_signature_with` against the batch-learned references.
+fn assert_batch_decisions(
+    label: &str,
+    db: &ReferenceDb,
+    candidates: &[CandidateWindow],
+    decisions: &[(usize, MacAddr, &MatchOutcome)],
+) {
+    assert_eq!(decisions.len(), candidates.len(), "{label}: decision count");
+    let mut scratch = MatchScratch::new();
+    for (cand, &(window, device, view)) in candidates.iter().zip(decisions) {
+        assert_eq!((cand.index, cand.device), (window, device), "{label}: decision identity");
+        let want =
+            db.match_signature_with(&cand.signature, SimilarityMeasure::Cosine, &mut scratch);
         assert_eq!(
-            engine_db.devices().collect::<Vec<_>>(),
-            db.devices().collect::<Vec<_>>(),
-            "{name}: enrolled devices differ"
+            view.best().map(|(d, _)| d),
+            want.best().map(|(d, _)| d),
+            "{label}: argmax for {device} in window {window}"
         );
-
-        let decisions: Vec<(usize, MacAddr, MatchOutcome)> = events
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Match { window, device, view }
-                | Event::NewDevice { window, device, view, .. } => Some((window, device, view)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(decisions.len(), candidates.len(), "{name}: decision count");
-
-        let mut scratch = MatchScratch::new();
-        let mut known = 0usize;
-        for (cand, (window, device, view)) in candidates.iter().zip(&decisions) {
-            assert_eq!((cand.index, cand.device), (*window, *device), "{name}");
-            let want = db.match_signature_with(&cand.signature, cfg.measure, &mut scratch);
-            assert_eq!(
-                view.best().map(|(d, _)| d),
-                want.best().map(|(d, _)| d),
-                "{name}: argmax for {device} in window {window}"
+        assert_eq!(view.similarities().len(), want.similarities().len(), "{label}");
+        for (got, expect) in view.similarities().iter().zip(want.similarities()) {
+            assert_eq!(got.0, expect.0, "{label}: device order");
+            assert!(
+                (got.1 - expect.1).abs() < F32_SCORE_TOLERANCE,
+                "{label}: {} vs {} for {device} in window {window}",
+                got.1,
+                expect.1
             );
-            assert_eq!(view.similarities().len(), want.similarities().len(), "{name}");
-            for (got, expect) in view.similarities().iter().zip(want.similarities()) {
-                assert_eq!(got.0, expect.0, "{name}: device order");
-                assert!(
-                    (got.1 - expect.1).abs() < F32_SCORE_TOLERANCE,
-                    "{name}: {} vs {} for {device} in window {window}",
-                    got.1,
-                    expect.1
-                );
-            }
-            if db.contains(device) {
-                known += 1;
-            }
         }
-
-        // The analysis pipeline (a thin driver of the same engine)
-        // reports exactly the decisions counted above.
-        let pcfg = PipelineConfig {
-            train_duration: train,
-            window: cfg.window,
-            min_observations: 50,
-            measure: SimilarityMeasure::Cosine,
-            parameters: vec![NetworkParameter::InterArrivalTime],
-            match_config: MatchConfig::default(),
-            resilience: ResilienceConfig::default(),
-            ingest: None,
-        };
-        let eval = evaluate_frames(&pcfg, &trace.frames).expect("pipeline run");
-        assert_eq!(
-            eval.candidate_instances[&NetworkParameter::InterArrivalTime], known,
-            "{name}: pipeline instance count"
-        );
-        assert_eq!(eval.ref_devices, db.len(), "{name}: pipeline reference count");
     }
 }
 
 #[test]
-fn multi_engine_equals_five_engines_and_offline_fusion() {
-    // The acceptance equivalence for the MultiEngine redesign, on both
-    // of the paper's trace shapes:
+fn streaming_engine_equals_batch_pipeline_on_office_and_conference() {
+    // The streaming engine at one-parameter width must reproduce the
+    // batch flow's per-window match decisions — same (window, device)
+    // sequence, same argmax, scores within the documented f32 tolerance
+    // — for every parameter, on both of the paper's trace shapes, and
+    // the (engine-driven) analysis pipeline must agree on the aggregate
+    // counts.
+    let traces = [
+        ("office", OfficeScenario::small(5, 300, 10).run_collect()),
+        ("conference", ConferenceScenario::small(7, 300, 12).run_collect()),
+    ];
+    let mcfg = MultiConfig::default()
+        .with_min_observations(50)
+        .with_window(Nanos::from_secs(50));
+    let train = Nanos::from_secs(100);
+    for (name, trace) in traces {
+        for param in NetworkParameter::ALL {
+            let label = format!("{name}/{param}");
+            let (db, candidates) = batch_path(&mcfg.eval_config(param), &trace.frames, train);
+            assert!(!candidates.is_empty(), "{label}: batch flow must produce candidates");
+
+            // Streaming flow: the one-parameter engine over the
+            // identical frame stream.
+            let mut engine = MultiEngine::builder()
+                .spec(FusionSpec::single(param))
+                .config(mcfg.clone())
+                .train_for(train)
+                .build()
+                .expect("valid engine configuration");
+            let mut events = engine.observe_all(&trace.frames).expect("frames in capture order");
+            events.extend(engine.finish().expect("first finish"));
+
+            // The online-enrolled reference matches the batch-learned one.
+            let engine_db = engine.into_references().remove(&param).expect("trained reference");
+            assert_eq!(
+                engine_db.devices().collect::<Vec<_>>(),
+                db.devices().collect::<Vec<_>>(),
+                "{label}: enrolled devices differ"
+            );
+            let decisions = parameter_decisions(&events, param);
+            assert_batch_decisions(&label, &db, &candidates, &decisions);
+            let known = candidates.iter().filter(|c| db.contains(&c.device)).count();
+
+            // The analysis pipeline (a thin driver of the same engine)
+            // reports exactly the decisions counted above.
+            let pcfg = PipelineConfig {
+                train_duration: train,
+                window: mcfg.window,
+                min_observations: 50,
+                measure: SimilarityMeasure::Cosine,
+                parameters: vec![param],
+                match_config: MatchConfig::default(),
+                resilience: ResilienceConfig::default(),
+                ingest: None,
+            };
+            let eval = evaluate_frames(&pcfg, &trace.frames).expect("pipeline run");
+            let instances = eval.candidate_instances[&param];
+            assert_eq!(instances, known, "{label}: pipeline instance count");
+            assert_eq!(eval.ref_devices, db.len(), "{label}: pipeline reference count");
+        }
+    }
+}
+
+#[test]
+fn multi_engine_equals_the_batch_path_and_offline_fusion() {
+    // The acceptance equivalence for the fused engine, on both of the
+    // paper's trace shapes:
     //
-    // 1. per parameter, the fused engine's decisions are the five
-    //    single-parameter engines' decisions — same (window, device)
-    //    sequence, same argmax, scores within the documented f32
-    //    tolerance;
+    // 1. per parameter, the fused engine's decisions are the batch
+    //    path's decisions — same (window, device) sequence, same argmax,
+    //    scores within the documented f32 tolerance;
     // 2. the fused (combined) scores equal the offline end-of-trace
     //    combination the analysis crate's fusion evaluator historically
     //    computed: per-parameter similarity vectors weighted-averaged
@@ -320,104 +351,42 @@ fn multi_engine_equals_five_engines_and_offline_fusion() {
         let mut events = multi.observe_all(&trace.frames).expect("frames in capture order");
         events.extend(multi.finish().expect("first finish"));
 
-        // 1. Per-parameter equivalence against five single engines.
-        let mut total_decisions = 0usize;
-        for param in NetworkParameter::ALL {
-            let mut single = Engine::builder()
-                .config(mcfg.eval_config(param))
-                .train_for(train)
-                .build()
-                .expect("valid engine configuration");
-            let mut single_events =
-                single.observe_all(&trace.frames).expect("frames in capture order");
-            single_events.extend(single.finish().expect("first finish"));
-
-            assert_eq!(
-                single.reference().expect("trained").devices().collect::<Vec<_>>(),
-                multi.reference(param).expect("trained").devices().collect::<Vec<_>>(),
-                "{name}/{param}: enrolled devices differ"
-            );
-
-            let singles: Vec<(usize, MacAddr, MatchOutcome)> = single_events
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::Match { window, device, view }
-                    | Event::NewDevice { window, device, view, .. } => {
-                        Some((window, device, view))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let multis: Vec<(usize, MacAddr, &MatchOutcome)> = events
+        // Batch: per-parameter databases and window candidates.
+        let (dbs, candidates): (Vec<ReferenceDb>, Vec<Vec<CandidateWindow>>) =
+            NetworkParameter::ALL
                 .iter()
-                .filter_map(|e| match e {
-                    MultiEvent::FusedMatch { window, device, scores, .. }
-                    | MultiEvent::FusedNewDevice { window, device, scores, .. } => scores
-                        .iter()
-                        .find(|d| d.parameter == param)
-                        .map(|d| (*window, *device, &d.view)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(singles.len(), multis.len(), "{name}/{param}: decision count");
-            assert!(!singles.is_empty(), "{name}/{param}: no decisions to compare");
-            total_decisions += singles.len();
-            for ((sw, sd, sv), (mw, md, mv)) in singles.iter().zip(&multis) {
-                assert_eq!((sw, sd), (mw, md), "{name}/{param}: decision identity");
-                assert_eq!(
-                    sv.best().map(|(d, _)| d),
-                    mv.best().map(|(d, _)| d),
-                    "{name}/{param}: argmax for {sd} in window {sw}"
-                );
-                assert_eq!(sv.similarities().len(), mv.similarities().len());
-                for (a, b) in sv.similarities().iter().zip(mv.similarities()) {
-                    assert_eq!(a.0, b.0, "{name}/{param}: device order");
-                    assert!(
-                        (a.1 - b.1).abs() < F32_SCORE_TOLERANCE,
-                        "{name}/{param}: {} vs {} for {sd} in window {sw}",
-                        a.1,
-                        b.1
-                    );
-                }
-            }
+                .map(|&p| batch_path(&mcfg.eval_config(p), &trace.frames, train))
+                .unzip();
+
+        // 1. Per-parameter equivalence against the batch path.
+        let mut total_decisions = 0usize;
+        for (i, param) in NetworkParameter::ALL.into_iter().enumerate() {
+            let label = format!("{name}/{param}");
+            assert_eq!(
+                dbs[i].devices().collect::<Vec<_>>(),
+                multi.reference(param).expect("trained").devices().collect::<Vec<_>>(),
+                "{label}: enrolled devices differ"
+            );
+            let decisions = parameter_decisions(&events, param);
+            assert!(!decisions.is_empty(), "{label}: no decisions to compare");
+            assert_batch_decisions(&label, &dbs[i], &candidates[i], &decisions);
+            total_decisions += decisions.len();
         }
         assert!(total_decisions > 0, "{name}: equivalence must cover real decisions");
 
-        // 2. Fused scores equal the offline combination: learn per-param
-        //    databases and window candidates batch-style, then weighted-
-        //    average the per-parameter similarity vectors per candidate.
-        let configs: Vec<EvalConfig> =
-            NetworkParameter::ALL.iter().map(|&p| mcfg.eval_config(p)).collect();
-        let origin = trace.frames[0].t_end;
-        let mut trainers: Vec<SignatureBuilder> =
-            configs.iter().map(SignatureBuilder::new).collect();
-        let mut validators: Vec<WindowedSignatures> =
-            configs.iter().map(WindowedSignatures::new).collect();
-        for f in &trace.frames {
-            if f.t_end.saturating_sub(origin) < train {
-                for t in &mut trainers {
-                    t.push(f);
-                }
-            } else {
-                for v in &mut validators {
-                    v.push(f);
-                }
-            }
-        }
-        let dbs: Vec<ReferenceDb> = trainers
-            .into_iter()
-            .map(|t| ReferenceDb::from_signatures(t.finish().unwrap_or_default()))
-            .collect();
+        // 2. Fused scores equal the offline combination: weighted-average
+        //    the batch path's per-parameter similarity vectors per
+        //    candidate.
         let enrolled: Vec<MacAddr> = dbs[0]
             .devices()
             .filter(|d| dbs.iter().all(|db| db.contains(d)))
             .collect();
         let mut offline: BTreeMap<(usize, MacAddr), BTreeMap<MacAddr, f64>> = BTreeMap::new();
-        let n_params = configs.len();
+        let n_params = NetworkParameter::COUNT;
         let mut per_key: BTreeMap<(usize, MacAddr), Vec<Option<wifiprint::core::Signature>>> =
             BTreeMap::new();
-        for (i, validator) in validators.into_iter().enumerate() {
-            for cand in validator.finish() {
+        for (i, windows) in candidates.into_iter().enumerate() {
+            for cand in windows {
                 per_key
                     .entry((cand.index, cand.device))
                     .or_insert_with(|| vec![None; n_params])[i] = Some(cand.signature);
