@@ -74,32 +74,52 @@ fn is_poison(frame: &CapturedFrame) -> bool {
     frame.size == 0
 }
 
+/// The acceptance-criteria check at one spec width: the `Block`
+/// pipeline's events equal synchronous `observe`, bit for bit, and its
+/// ledger reconciles exactly.
+fn assert_block_pipeline_matches_sync(
+    spec: &FusionSpec,
+    frames: &[CapturedFrame],
+    capacity: usize,
+) {
+    let want = sync_events(spec, frames);
+    let cfg = IngestConfig::default().with_capacity(capacity);
+    let pipeline = IngestPipeline::spawn(build(spec), cfg).expect("spawn");
+    for f in frames {
+        pipeline.submit(f).expect("open pipeline");
+    }
+    let report = pipeline.finish().expect("terminates");
+    prop_assert_eq!(format!("{:?}", report.events), want);
+    prop_assert_eq!(report.health.frames_seen as usize, frames.len());
+    prop_assert_eq!(report.health.frames_shed, 0);
+    prop_assert_eq!(report.health.frames_quarantined, 0);
+    prop_assert_eq!(report.delivered as usize, frames.len());
+    prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
+}
+
 proptest! {
     // The acceptance-criteria property: with `Block` (lossless
     // back-pressure), no faults and no watchdog, the supervised pipeline
     // is observationally indistinguishable from calling `observe`
     // synchronously — same events, bit for bit, and an exactly
-    // reconciled ledger.
+    // reconciled ledger. Once at one-parameter width...
+    #[test]
+    fn block_pipeline_is_bit_identical_to_sync_observe_on_the_engine(
+        frames in arb_ordered_stream(),
+        capacity in 1usize..64,
+    ) {
+        let [single, _] = specs();
+        assert_block_pipeline_matches_sync(&single, &frames, capacity);
+    }
+
+    // ...and once with all five parameters fused.
     #[test]
     fn block_pipeline_is_bit_identical_to_sync_observe_on_the_multi_engine(
         frames in arb_ordered_stream(),
         capacity in 1usize..64,
     ) {
-        for spec in specs() {
-            let want = sync_events(&spec, &frames);
-            let cfg = IngestConfig::default().with_capacity(capacity);
-            let pipeline = IngestPipeline::spawn(build(&spec), cfg).expect("spawn");
-            for f in &frames {
-                pipeline.submit(f).expect("open pipeline");
-            }
-            let report = pipeline.finish().expect("terminates");
-            prop_assert_eq!(format!("{:?}", report.events), want);
-            prop_assert_eq!(report.health.frames_seen as usize, frames.len());
-            prop_assert_eq!(report.health.frames_shed, 0);
-            prop_assert_eq!(report.health.frames_quarantined, 0);
-            prop_assert_eq!(report.delivered as usize, frames.len());
-            prop_assert!(report.is_reconciled(), "health: {:?}", report.health);
-        }
+        let [_, fused] = specs();
+        assert_block_pipeline_matches_sync(&fused, &frames, capacity);
     }
 
     // Panic isolation as a stream property: a pipeline whose worker

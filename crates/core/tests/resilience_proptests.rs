@@ -126,29 +126,55 @@ fn run(
     (format!("{events:?}"), health)
 }
 
+/// The `Reorder` check at one spec width: a stream block-shuffled with
+/// horizon `block`, replayed under a `2 * block` reorder buffer, yields
+/// the in-order stream's events and drops nothing.
+fn assert_reorder_restores_shuffle(
+    spec: &FusionSpec,
+    frames: &[CapturedFrame],
+    block: usize,
+    seed: u64,
+) {
+    let shuffled = block_shuffle(frames, block, seed);
+    let resilience = ResilienceConfig::default().with_late_policy(LateFramePolicy::Reorder {
+        max_lateness: 2 * block,
+    });
+    let (ordered, ordered_health) = run(spec, frames, resilience.clone());
+    let (restored, restored_health) = run(spec, &shuffled, resilience);
+    prop_assert_eq!(ordered, restored);
+    prop_assert_eq!(
+        restored_health.frames_late_dropped,
+        0,
+        "a 2x-horizon buffer never drops a block-shuffled frame"
+    );
+    prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
+    prop_assert_eq!(ordered_health.frames_reordered, 0);
+}
+
 proptest! {
     // The tentpole property: `Reorder { max_lateness ≥ horizon }` makes
     // a stream shuffled within that horizon yield *bit-identical* events
     // to the in-order stream — same enrollments, same windows, same
-    // similarity scores.
+    // similarity scores. Once at one-parameter width...
+    #[test]
+    fn reorder_restores_bounded_shuffles_on_the_engine(
+        frames in arb_ordered_stream(),
+        block in 2usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let [single, _] = specs();
+        assert_reorder_restores_shuffle(&single, &frames, block, seed);
+    }
+
+    // ...and once with all five parameters fused.
     #[test]
     fn reorder_restores_bounded_shuffles_on_the_multi_engine(
         frames in arb_ordered_stream(),
         block in 2usize..=8,
         seed in any::<u64>(),
     ) {
-        let shuffled = block_shuffle(&frames, block, seed);
-        let resilience = ResilienceConfig::default()
-            .with_late_policy(LateFramePolicy::Reorder { max_lateness: 2 * block });
-        for spec in specs() {
-            let (ordered, ordered_health) = run(&spec, &frames, resilience.clone());
-            let (restored, restored_health) = run(&spec, &shuffled, resilience.clone());
-            prop_assert_eq!(ordered, restored);
-            prop_assert_eq!(restored_health.frames_late_dropped, 0,
-                "a 2x-horizon buffer never drops a block-shuffled frame");
-            prop_assert_eq!(ordered_health.frames_seen, restored_health.frames_seen);
-            prop_assert_eq!(ordered_health.frames_reordered, 0);
-        }
+        let [_, fused] = specs();
+        assert_reorder_restores_shuffle(&fused, &frames, block, seed);
     }
 
     // `Drop` on a dirty stream behaves exactly like the clean stream
