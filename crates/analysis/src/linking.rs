@@ -169,7 +169,7 @@ pub fn metropolis_linker_config() -> LinkerConfig {
 /// fusion as [`metropolis_linker_config`], re-laid-out for a gallery an
 /// order of magnitude larger. The reference store runs on the quantized
 /// `u8` tier ([`MatchConfig::quantized`]) over 64 shards, so every
-/// gallery sweep goes through the tile-wide pruned integer kernels —
+/// gallery sweep goes through the tile-wide pruned integer column kernel —
 /// at 10⁴ resident identities that is the difference between a linking
 /// replay dominated by dot products and one dominated by bookkeeping.
 ///

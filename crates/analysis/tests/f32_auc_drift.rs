@@ -11,7 +11,7 @@
 
 use wifiprint_core::metrics::{identification_points, similarity_curve, MatchSet};
 use wifiprint_core::{
-    evaluate, NetworkParameter, ReferenceDb, SimilarityMeasure, F32_SCORE_TOLERANCE,
+    evaluate, NetworkParameter, ReferenceDb, Signature, SimilarityMeasure, F32_SCORE_TOLERANCE,
 };
 use wifiprint_ieee80211::{Frame, MacAddr, Nanos, Rate};
 use wifiprint_radiotap::CapturedFrame;
@@ -42,6 +42,25 @@ fn synthetic_trace(n_dev: u64, total_us: u64) -> Vec<CapturedFrame> {
     }
     frames.sort_by_key(|f| f.t_end);
     frames
+}
+
+/// The all-`f64` oracle: per-device cosine similarity straight from the
+/// histograms' `f64` frequencies, in the database's address order.
+fn naive_similarities(db: &ReferenceDb, candidate: &Signature) -> Vec<(MacAddr, f64)> {
+    let cand_freqs: Vec<_> =
+        candidate.iter().map(|(kind, hist)| (kind, hist.frequency_vec())).collect();
+    db.iter()
+        .map(|(device, sig)| {
+            let mut sim = 0.0;
+            for (kind, cand_freq) in &cand_freqs {
+                if let Some(hist) = sig.histogram(*kind) {
+                    sim += sig.weight(*kind)
+                        * SimilarityMeasure::Cosine.compute(cand_freq, hist.frequencies());
+                }
+            }
+            (device, sim)
+        })
+        .collect()
 }
 
 #[test]
@@ -83,17 +102,23 @@ fn f32_pipeline_metrics_match_f64_baseline() {
         if !db.contains(&cand.device) {
             continue;
         }
-        let outcome = db.match_signature_naive(&cand.signature, SimilarityMeasure::Cosine);
+        let sims = naive_similarities(&db, &cand.signature);
         let mut true_sim = 0.0;
         let mut wrong = Vec::new();
-        for &(device, sim) in outcome.similarities() {
+        for &(device, sim) in &sims {
             if device == cand.device {
                 true_sim = sim;
             } else {
                 wrong.push(sim);
             }
         }
-        let (best_device, best_sim) = outcome.best().expect("db nonempty");
+        // Highest similarity; ties keep the lower address (`db.iter()`
+        // is in address order), as `MatchOutcome::best` does.
+        let (best_device, best_sim) = sims
+            .iter()
+            .copied()
+            .reduce(|best, next| if next.1 > best.1 { next } else { best })
+            .expect("db nonempty");
         baseline_sets.push(MatchSet {
             true_device: cand.device,
             true_sim,

@@ -1,7 +1,7 @@
 //! Accuracy-drift gate for the quantized (`u8`) matching tier.
 //!
 //! The `RowPrecision::U8` tier stores reference rows as 7-bit codes with
-//! a per-row scale and sweeps them with exact integer kernels (see
+//! a per-row scale and sweeps them with an exact integer kernel (see
 //! `wifiprint_core::matching`, "Precision tiers"). This test runs the
 //! repro pipeline's scoring on a synthetic multi-device trace twice —
 //! once on the default `f32` store, once on the quantized store built

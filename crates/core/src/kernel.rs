@@ -29,34 +29,20 @@
 //! scalar remainder loop, so a 251-bin row is 8 vector iterations, no
 //! scalar epilogue.
 //!
-//! # Integer kernels for the quantized tier
+//! # The integer kernel for the quantized tier
 //!
 //! The [`RowPrecision::U8`](crate::matching::RowPrecision) storage tier
 //! (see [`matching`](crate::matching)) holds rows as `u8` codes in
-//! `0..=`[`QUANT_MAX`]. Its dot products are **exact** integer sums —
-//! every dispatch path computes bit-identical `u32` results, so the
-//! quantized sweeps need no cross-kernel tolerance:
-//!
-//! * **AVX2** (`x86`/`x86_64`): `maddubs` multiplies 32 `u8×i8` pairs and
-//!   adds adjacent products into `i16`; capping codes at [`QUANT_MAX`]` =
-//!   127` keeps every pair sum `≤ 2·127² = 32 258 < i16::MAX`, so the
-//!   pairwise add cannot saturate. A `madd`-by-ones then widens to `i32`
-//!   accumulators.
-//! * **NEON** (`aarch64`): widening `vmull_u8` multiplies (`u8×u8 → u16`,
-//!   exact) folded pairwise into `u32` accumulators via `vpadalq_u16`.
-//!   (ARMv8.2 `udot` is the natural upgrade once an aarch64 host is in
-//!   the validation loop.)
-//! * **Portable**: an 8-way unrolled `u8 → u32` widening loop.
-//!
-//! The quantized *sweeps* do not call these row dots. The tier stores
-//! each block column-major (one column of codes per bin, one lane per
-//! resident slot), and [`dot_u8_columns`] scores one candidate against
-//! every slot of a block at once: for each **non-zero** candidate code
-//! `c_j` it adds `c_j · column_j` into the per-slot sums. Traffic
-//! histograms occupy a handful of their bins, so a sweep reads a few
-//! columns instead of every byte of every row. The loop is safe,
-//! portable code that the compiler vectorises, and its sums are exact,
-//! so every slot's dot is bit-equal to [`dot_u8`] on the gathered row.
+//! `0..=`[`QUANT_MAX`], each block column-major (one column of codes per
+//! bin, one lane per resident slot). [`dot_u8_columns`] scores one
+//! candidate against every slot of a block at once: for each **non-zero**
+//! candidate code `c_j` it adds `c_j · column_j` into the per-slot `u32`
+//! sums. Traffic histograms occupy a handful of their bins, so a sweep
+//! reads a few columns instead of every byte of every row. The loop is
+//! safe, portable code that the compiler vectorises, and its sums are
+//! **exact** integers, so every slot's dot equals the plain sequential
+//! dot of the candidate and that slot's row on every host — the quantized
+//! sweeps need no cross-kernel tolerance and no dispatch.
 
 // The one sanctioned escape from the crate-wide `deny(unsafe_code)`:
 // SIMD intrinsics are unavoidably unsafe (raw-pointer loads + target
@@ -68,11 +54,6 @@
 #![allow(clippy::wildcard_imports, clippy::many_single_char_names)]
 
 use std::sync::OnceLock;
-
-#[cfg(target_arch = "x86")]
-use std::arch::x86::__m256i;
-#[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::__m256i;
 
 /// Which dot kernel the runtime dispatch selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +68,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// A short stable name for logs and bench snapshots.
+    /// A short stable name for logs.
     pub fn as_str(self) -> &'static str {
         match self {
             KernelKind::Avx2Fma => "avx2+fma",
@@ -147,56 +128,11 @@ fn select() -> &'static (KernelKind, DotFn) {
 /// Largest quantized code the `u8` storage tier emits: rows are scaled so
 /// their maximum frequency maps to `QUANT_MAX`.
 ///
-/// 127 (7 bits) rather than 255 is a kernel constraint, not a precision
-/// choice: AVX2 `maddubs` adds adjacent `u8×i8` products into `i16`, and
-/// `2 · 127 · 127 = 32 258 ≤ i16::MAX` is the largest cap for which that
-/// pairwise add can never saturate (both operands also stay valid as
-/// *signed* bytes, which the instruction requires of one side).
+/// The cap is 127 (7 bits). Nothing in [`dot_u8_columns`] needs the
+/// seventh bit free: its exact `u32` sums would take 8-bit codes too. The
+/// cap stays at 127 because it fixes every stored code: changing it would
+/// re-quantize every row and change every `u8` score and decision.
 pub const QUANT_MAX: u8 = 127;
-
-/// Which integer dot kernel the runtime dispatch selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IntKernelKind {
-    /// AVX2 `maddubs` + `madd` widening path (`x86`/`x86_64`).
-    Avx2Maddubs,
-    /// NEON widening-multiply path (`vmull_u8` + `vpadalq_u16`).
-    NeonWiden,
-    /// The unrolled scalar widening fallback.
-    Portable,
-}
-
-impl IntKernelKind {
-    /// A short stable name for logs and bench snapshots.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IntKernelKind::Avx2Maddubs => "avx2+maddubs",
-            IntKernelKind::NeonWiden => "neon+widen",
-            IntKernelKind::Portable => "portable",
-        }
-    }
-}
-
-impl std::fmt::Display for IntKernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Signature of a dispatched integer dot kernel.
-pub type DotU8Fn = fn(&[u8], &[u8]) -> u32;
-
-/// The integer kernel selected for this host.
-pub fn active_int() -> IntKernelKind {
-    select_int().0
-}
-
-/// Exact integer dot product of two equal-length `u8` slices through the
-/// selected kernel. Every dispatch path returns the identical `u32` (the
-/// sum is exact), so quantized scores carry no cross-kernel variance.
-#[inline]
-pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
-    (select_int().1)(a, b)
-}
 
 /// Exact integer dots of one candidate code row against every slot of a
 /// column-major `u8` block: `cols[j * cap + s]` is bin `j` of slot `s`,
@@ -204,8 +140,8 @@ pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
 /// are scored. Each `out[s]` is overwritten with `Σ_j cand[j] · cols[j *
 /// cap + s]`, accumulated one non-zero candidate code at a time, so the
 /// cost scales with the candidate's occupied bins, not its width. The
-/// sums are exact, so `out[s]` equals [`dot_u8`] of `cand` and slot `s`'s
-/// gathered row bit for bit.
+/// sums are exact, so `out[s]` equals the plain sequential dot of `cand`
+/// and slot `s`'s gathered row on every host.
 pub fn dot_u8_columns(cand: &[u8], cols: &[u8], cap: usize, out: &mut [u32]) {
     debug_assert_eq!(cols.len(), cand.len() * cap);
     debug_assert!(out.len() <= cap);
@@ -223,21 +159,6 @@ pub fn dot_u8_columns(cand: &[u8], cols: &[u8], cap: usize, out: &mut [u32]) {
             *dot += code * u32::from(x);
         }
     }
-}
-
-fn select_int() -> &'static (IntKernelKind, DotU8Fn) {
-    static SELECTED: OnceLock<(IntKernelKind, DotU8Fn)> = OnceLock::new();
-    SELECTED.get_or_init(|| {
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return (IntKernelKind::Avx2Maddubs, dot_u8_avx2_entry as DotU8Fn);
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return (IntKernelKind::NeonWiden, dot_u8_neon_entry as DotU8Fn);
-        }
-        (IntKernelKind::Portable, dot_u8_portable as DotU8Fn)
-    })
 }
 
 /// Portable dot kernel: 8 independent partial sums give the backend the
@@ -266,28 +187,6 @@ pub fn dot_f32_portable(a: &[f32], b: &[f32]) -> f32 {
         total += x * y;
     }
     total
-}
-
-/// Four-accumulator `f64` dot product — the PR-1 scalar kernel, retained
-/// as the benchmark baseline for the f32-vs-f64 comparison and for
-/// callers that still hold `f64` rows.
-#[inline]
-pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4 * 4;
-    for (ca, cb) in a[..chunks].chunks_exact(4).zip(b[..chunks].chunks_exact(4)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    for (x, y) in a[chunks..].iter().zip(&b[chunks..]) {
-        acc[0] += x * y;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
@@ -457,164 +356,6 @@ unsafe fn dot_f32_neon(a: &[f32], b: &[f32]) -> f32 {
     vaddvq_f32(acc)
 }
 
-/// Portable integer dot: 8 independent `u32` partial sums over widened
-/// `u8` products — exact, and the proof text the SIMD paths are tested
-/// bit-equal to.
-pub fn dot_u8_portable(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0u32; 8];
-    let chunks = n / 8 * 8;
-    for (ca, cb) in a[..chunks].chunks_exact(8).zip(b[..chunks].chunks_exact(8)) {
-        for lane in 0..8 {
-            acc[lane] += u32::from(ca[lane]) * u32::from(cb[lane]);
-        }
-    }
-    let mut total: u32 = acc.iter().sum();
-    for (&x, &y) in a[chunks..].iter().zip(&b[chunks..]) {
-        total += u32::from(x) * u32::from(y);
-    }
-    total
-}
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-fn dot_u8_avx2_entry(a: &[u8], b: &[u8]) -> u32 {
-    // SAFETY: this entry is only installed in the dispatch table after
-    // `is_x86_feature_detected!("avx2")` confirmed AVX2 on the running
-    // CPU, so the target-feature contract holds.
-    unsafe { dot_u8_avx2(a, b) }
-}
-
-/// AVX2 integer dot: `maddubs` pairs 32 `u8×i8` products into `i16`
-/// (codes capped at [`QUANT_MAX`] can never saturate the pairwise add),
-/// then a `madd` by ones widens into two independent `i32` accumulators.
-///
-/// # Safety
-///
-/// The caller must ensure the running CPU supports AVX2, and that both
-/// slices hold codes `<= QUANT_MAX` (enforced by the quantizer; the sum
-/// is exact under that cap).
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_u8_avx2(a: &[u8], b: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let ones = _mm256_set1_epi16(1);
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    let mut i = 0usize;
-    while i + 64 <= n {
-        // SAFETY: `i + 64 <= n` bounds both unaligned 32-byte loads per
-        // accumulator; `_mm256_loadu_si256` has no alignment requirement.
-        unsafe {
-            let p0 = _mm256_maddubs_epi16(
-                _mm256_loadu_si256(ap.add(i).cast()),
-                _mm256_loadu_si256(bp.add(i).cast()),
-            );
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(p0, ones));
-            let p1 = _mm256_maddubs_epi16(
-                _mm256_loadu_si256(ap.add(i + 32).cast()),
-                _mm256_loadu_si256(bp.add(i + 32).cast()),
-            );
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(p1, ones));
-        }
-        i += 64;
-    }
-    while i + 32 <= n {
-        // SAFETY: `i + 32 <= n` bounds the unaligned 32-byte loads.
-        unsafe {
-            let p = _mm256_maddubs_epi16(
-                _mm256_loadu_si256(ap.add(i).cast()),
-                _mm256_loadu_si256(bp.add(i).cast()),
-            );
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(p, ones));
-        }
-        i += 32;
-    }
-    // SAFETY: reduction is register-only.
-    let mut total = unsafe { hsum_epi32(_mm256_add_epi32(acc0, acc1)) };
-    while i < n {
-        total += u32::from(a[i]) * u32::from(b[i]); // bounds-checked byte tail
-        i += 1;
-    }
-    total
-}
-
-/// Horizontal sum of the eight `i32` lanes (all partial sums are
-/// non-negative under the [`QUANT_MAX`] cap, so the cast is exact).
-///
-/// # Safety
-///
-/// The caller must ensure the running CPU supports AVX2.
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn hsum_epi32(v: __m256i) -> u32 {
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-    let lo = _mm256_castsi256_si128(v);
-    let hi = _mm256_extracti128_si256(v, 1);
-    let s4 = _mm_add_epi32(lo, hi);
-    let s2 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, 0b00_00_11_10));
-    let s1 = _mm_add_epi32(s2, _mm_shuffle_epi32(s2, 0b00_00_00_01));
-    _mm_cvtsi128_si32(s1) as u32
-}
-
-#[cfg(target_arch = "aarch64")]
-fn dot_u8_neon_entry(a: &[u8], b: &[u8]) -> u32 {
-    // SAFETY: only installed after `is_aarch64_feature_detected!("neon")`
-    // succeeded, so the target-feature contract holds.
-    unsafe { dot_u8_neon(a, b) }
-}
-
-/// NEON integer dot via widening multiplies: `vmull_u8` produces exact
-/// `u16` products (`127² = 16 129` fits), `vpadalq_u16` folds them
-/// pairwise into `u32` accumulators.
-///
-/// # Safety
-///
-/// The caller must ensure the running CPU supports NEON.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot_u8_neon(a: &[u8], b: &[u8]) -> u32 {
-    use std::arch::aarch64::*;
-
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc0 = vdupq_n_u32(0);
-    let mut acc1 = vdupq_n_u32(0);
-    let mut i = 0usize;
-    while i + 16 <= n {
-        // SAFETY: `i + 16 <= n` bounds the 16-byte loads; NEON loads are
-        // unaligned-tolerant.
-        unsafe {
-            let va = vld1q_u8(ap.add(i));
-            let vb = vld1q_u8(bp.add(i));
-            acc0 = vpadalq_u16(acc0, vmull_u8(vget_low_u8(va), vget_low_u8(vb)));
-            acc1 = vpadalq_u16(acc1, vmull_u8(vget_high_u8(va), vget_high_u8(vb)));
-        }
-        i += 16;
-    }
-    let mut total = vaddvq_u32(vaddq_u32(acc0, acc1));
-    while i < n {
-        total += u32::from(a[i]) * u32::from(b[i]); // bounds-checked byte tail
-        i += 1;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,18 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn dot_f64_matches_naive_sum() {
-        let a: Vec<f64> = (0..251).map(|i| f64::from(i % 17) / 17.0).collect();
-        let b: Vec<f64> = (0..251).map(|i| f64::from(i % 23) / 23.0).collect();
-        let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot_f64(&a, &b) - naive).abs() < 1e-9);
-    }
-
-    #[test]
     fn masked_tail_matches_reference_on_every_length_to_64() {
-        // The satellite contract for the masked-tail kernels: every
-        // remainder class 0..8 (and then some), f32 and u8, dispatched
-        // vs the scalar reference.
+        // The masked-tail contract: every remainder class 0..8 (and then
+        // some), dispatched vs the scalar reference.
         for len in 0..=64usize {
             let a = pseudo_row(11, len);
             let b = pseudo_row(13, len);
@@ -698,30 +430,26 @@ mod tests {
     }
 
     #[test]
-    fn integer_dot_is_exact_on_every_length_to_64_and_beyond() {
-        for len in (0..=64usize).chain([100, 251, 501, 1000]) {
-            let a = pseudo_qrow(5, len);
-            let b = pseudo_qrow(9, len);
-            let want = reference_dot_u8(&a, &b);
-            assert_eq!(dot_u8(&a, &b), want, "dispatched len {len}");
-            assert_eq!(dot_u8_portable(&a, &b), want, "portable len {len}");
-        }
-    }
-
-    #[test]
     fn integer_dot_peak_codes_do_not_saturate() {
-        // All-QUANT_MAX rows are the maddubs worst case: every pairwise
-        // i16 sum is exactly 2·127² = 32 258, one below overflow.
-        for len in [31usize, 32, 64, 251, 2501] {
-            let a = vec![QUANT_MAX; len];
-            assert_eq!(dot_u8(&a, &a), len as u32 * 127 * 127, "len {len}");
+        // All-QUANT_MAX codes are the largest sum a slot can reach: every
+        // term is exactly 127², on every bin, in every scored slot.
+        for bins in [31usize, 32, 64, 251, 2501] {
+            let cand = vec![QUANT_MAX; bins];
+            for slots in [1usize, 8, 17] {
+                let cap = slots + 1;
+                let cols = vec![QUANT_MAX; bins * cap];
+                let mut out = vec![0u32; slots];
+                dot_u8_columns(&cand, &cols, cap, &mut out);
+                let want = bins as u32 * 127 * 127;
+                assert!(out.iter().all(|&dot| dot == want), "bins {bins}, slots {slots}: {out:?}");
+            }
         }
     }
 
     #[test]
     fn micro_tile_kernel_equals_single_dots_bit_exactly() {
-        // The column kernel must be *bit*-equal to one `dot_u8` per slot
-        // on the gathered row (integer sums are exact): candidates with
+        // The column kernel must be *bit*-equal to one sequential dot per
+        // slot on the gathered row (integer sums are exact): candidates with
         // long zero runs, an all-zero candidate, 0, 1 and odd slot
         // counts, and spare capacity (`cap > slots`) whose lanes hold
         // codes that must not leak into the scored slots.
@@ -740,7 +468,7 @@ mod tests {
                         let mut out = vec![u32::MAX; slots];
                         dot_u8_columns(cand, &cols, cap, &mut out);
                         for (s, row) in rows.iter().take(slots).enumerate() {
-                            let want = dot_u8(cand, row);
+                            let want = reference_dot_u8(cand, row);
                             assert_eq!(
                                 out[s], want,
                                 "bins {bins}, slots {slots}, cap {cap}, slot {s}"
@@ -750,18 +478,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn active_int_kernel_has_a_name() {
-        let kind = active_int();
-        assert!(!kind.as_str().is_empty());
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(kind, IntKernelKind::Avx2Maddubs);
-        }
-        #[cfg(target_arch = "aarch64")]
-        assert_eq!(kind, IntKernelKind::NeonWiden);
     }
 
     #[test]

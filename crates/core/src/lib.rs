@@ -30,8 +30,8 @@
 //!    [`ReferenceDb::match_topk_tile`] amortises one bound-ordered
 //!    sweep over a whole tile of candidates. The store comes in two
 //!    **precision tiers** ([`RowPrecision`]): the default `f32` rows,
-//!    and a quantized `u8` tier (7-bit codes + per-row scale, exact
-//!    integer dot kernels) that roughly quarters resident bytes per
+//!    and a quantized `u8` tier (7-bit codes + per-row scale, an exact
+//!    integer column kernel) that roughly quarters resident bytes per
 //!    device — see the [`matching`] module docs
 //!    ("Precision tiers") for the memory table and drift bounds
 //!    ([`U8_SCORE_TOLERANCE`]).
@@ -141,7 +141,7 @@ pub use engine::{
 pub use error::CoreError;
 pub use fusion::{fuse_outcomes, FusedOutcome, FusionSpec};
 pub use histogram::{BinSpec, Histogram, QuantizedRow};
-pub use kernel::{IntKernelKind, KernelKind, QUANT_MAX};
+pub use kernel::{KernelKind, QUANT_MAX};
 pub use matching::{
     MatchConfig, MatchOutcome, MatchScratch, MatchView, PruneStats, ReferenceDb, RowPrecision,
     ShardStrategy, TileView, DEFAULT_SHARDS, F32_SCORE_TOLERANCE, MATCH_TILE, U8_SCORE_TOLERANCE,

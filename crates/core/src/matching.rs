@@ -35,8 +35,7 @@
 //! products read:
 //!
 //! * **`f64`** — the naive baseline (per-device `BTreeMap`s, full
-//!   doubles). Not a packed layout; kept behind `bench-baseline` as
-//!   ground truth.
+//!   doubles). Not a packed layout; kept in test code as ground truth.
 //! * **`f32`** ([`RowPrecision::F32`], the default) — packed rows,
 //!   floating-point SIMD dots, drift ≤ [`F32_SCORE_TOLERANCE`] vs `f64`.
 //! * **`u8`** ([`RowPrecision::U8`]) — each row quantized once at
@@ -67,7 +66,7 @@
 //! read only the columns of the candidate's non-zero codes, each one a
 //! contiguous run of one byte per resident: for each such code `c_j` the
 //! kernel adds `c_j · column_j` into per-slot `u32` sums. The sums are
-//! exact, so every score is bit-equal to the row-major integer dot's.
+//! exact, so every score is bit-equal to a sequential dot over the row.
 //! The `f32` tier stays row-major, because its dot's rounding depends on
 //! summation order.
 //!
@@ -281,7 +280,7 @@ pub enum RowPrecision {
 }
 
 impl RowPrecision {
-    /// A short stable name for logs and bench snapshots.
+    /// A short stable name for logs.
     pub fn as_str(self) -> &'static str {
         match self {
             RowPrecision::F32 => "f32",
@@ -327,7 +326,7 @@ impl MatchConfig {
     }
 
     /// The quantized tier at the default shard layout: `u8` rows behind
-    /// the integer kernels — what a metropolis-scale (≥ 10⁵ devices)
+    /// the integer column kernel — what a metropolis-scale (≥ 10⁵ devices)
     /// deployment runs.
     pub fn quantized() -> Self {
         MatchConfig::default().with_precision(RowPrecision::U8)
@@ -1541,10 +1540,9 @@ impl ReferenceDb {
 
     /// The pre-SoA matching path: per-call candidate frequency allocation,
     /// per-device frame-kind lookups, and full-`f64` arithmetic
-    /// throughout. Kept so benchmarks can quantify what the matrix layout
-    /// buys **and** as the f64 ground truth the f32 engine's parity tests
-    /// compare against (equal output within [`F32_SCORE_TOLERANCE`]).
-    #[cfg(any(test, feature = "bench-baseline"))]
+    /// throughout. Test-only: the f64 ground truth the f32 engine's parity
+    /// tests compare against (equal output within [`F32_SCORE_TOLERANCE`]).
+    #[cfg(test)]
     pub fn match_signature_naive(
         &self,
         candidate: &Signature,

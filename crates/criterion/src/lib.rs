@@ -3,68 +3,21 @@
 //!
 //! The build environment for this workspace is offline, so the real
 //! criterion cannot be fetched from crates.io. This crate implements the
-//! subset of its API the workspace benches use — `Criterion`,
-//! `BenchmarkGroup`, `BenchmarkId`, `Throughput`, `criterion_group!` and
-//! `criterion_main!` — with a plain wall-clock measurement loop:
-//! a timed warm-up, then `sample_size` samples whose per-iteration times
-//! yield the reported median/mean/min.
-//!
-//! Extras over the real crate:
-//!
-//! * `WIFIPRINT_BENCH_JSON=<path>` appends one JSON object per finished
-//!   bench (`{"name":…,"median_ns":…,"mean_ns":…,"min_ns":…,"samples":…}`)
-//!   so perf snapshots like `BENCH_1.json` can be scripted;
-//! * positional CLI arguments act as substring filters on bench names
-//!   (`cargo bench --bench fingerprint -- match`), flags are ignored.
+//! subset of its API the workspace's `tables` bench uses — `Criterion`,
+//! `BenchmarkGroup`, the `config = …` form of `criterion_group!` and
+//! `criterion_main!` — with a plain wall-clock measurement loop: a timed
+//! warm-up, then `sample_size` samples whose per-iteration times yield
+//! the reported median and min. As in the real crate, positional CLI
+//! arguments act as substring filters on bench names (`cargo bench
+//! --bench tables -- figure`); flags are ignored.
 //!
 //! [`criterion`]: https://crates.io/crates/criterion
 
 #![forbid(unsafe_code)]
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
-
-/// Work-per-iteration declaration; reported alongside timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Logical elements processed per iteration.
-    Elements(u64),
-}
-
-/// A bench identifier: a function name, optionally parameterised.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// An id `"{name}/{parameter}"`.
-    pub fn new(name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: format!("{name}/{parameter}") }
-    }
-
-    /// An id that is just the parameter (grouped benches prepend the
-    /// group name).
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_owned() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
-    }
-}
 
 /// The timing loop handed to bench closures.
 #[derive(Debug)]
@@ -103,18 +56,16 @@ impl Bencher {
 }
 
 /// One finished measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
+#[derive(Debug)]
+struct BenchResult {
     /// Full bench name (group-qualified).
-    pub name: String,
+    name: String,
     /// Median per-iteration time in nanoseconds.
-    pub median_ns: f64,
-    /// Mean per-iteration time in nanoseconds.
-    pub mean_ns: f64,
+    median_ns: f64,
     /// Fastest sample in nanoseconds.
-    pub min_ns: f64,
+    min_ns: f64,
     /// Number of samples taken.
-    pub samples: usize,
+    samples: usize,
 }
 
 /// The bench registry and runner.
@@ -123,7 +74,6 @@ pub struct Criterion {
     sample_size: usize,
     warm_up: Duration,
     filters: Vec<String>,
-    results: Vec<BenchResult>,
 }
 
 impl Default for Criterion {
@@ -136,7 +86,6 @@ impl Default for Criterion {
             sample_size: 20,
             warm_up: Duration::from_millis(200),
             filters,
-            results: Vec::new(),
         }
     }
 }
@@ -156,36 +105,23 @@ impl Criterion {
         self
     }
 
-    /// Runs one bench.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        self.run_one(id.id.clone(), None, |b| f(b));
-        self
-    }
-
     /// Opens a named group of benches.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into(), throughput: None }
-    }
-
-    /// All results measured so far, in execution order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
+        BenchmarkGroup { criterion: self, name: name.into() }
     }
 
     fn matches_filter(&self, name: &str) -> bool {
         self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
     }
 
-    fn run_one<F>(&mut self, name: String, throughput: Option<Throughput>, mut f: F)
+    /// Measures and reports one bench; `None` when filtered out or the
+    /// closure never called [`Bencher::iter`].
+    fn run_one<F>(&self, name: String, f: F) -> Option<BenchResult>
     where
-        F: FnMut(&mut Bencher),
+        F: FnOnce(&mut Bencher),
     {
         if !self.matches_filter(&name) {
-            return;
+            return None;
         }
         let mut bencher = Bencher {
             sample_size: self.sample_size,
@@ -195,102 +131,52 @@ impl Criterion {
         f(&mut bencher);
         let mut samples = bencher.samples_ns;
         if samples.is_empty() {
-            return; // closure never called iter()
+            return None;
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
-        let median = samples[samples.len() / 2];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let min = samples[0];
         let result = BenchResult {
-            name: name.clone(),
-            median_ns: median,
-            mean_ns: mean,
-            min_ns: min,
+            name,
+            median_ns: samples[samples.len() / 2],
+            min_ns: samples[0],
             samples: samples.len(),
         };
-        report(&result, throughput);
-        self.results.push(result);
+        println!(
+            "{:<48} time: [{} median, {} min, {} samples]",
+            result.name,
+            human_time(result.median_ns),
+            human_time(result.min_ns),
+            result.samples,
+        );
+        Some(result)
     }
 }
 
-/// A group of related benches sharing a name prefix and throughput.
+/// A group of related benches sharing a name prefix.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
+    criterion: &'a Criterion,
     name: String,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Declares the work performed per iteration.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
-        self
-    }
-
     /// Runs one bench within the group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
     where
-        F: FnMut(&mut Bencher),
+        F: FnOnce(&mut Bencher),
     {
-        let id = id.into();
-        let name = format!("{}/{}", self.name, id.id);
-        let throughput = self.throughput;
-        self.criterion.run_one(name, throughput, |b| f(b));
+        self.run(id, f);
         self
     }
 
-    /// Runs one bench parameterised by `input`.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
+    fn run<F>(&self, id: &str, f: F) -> Option<BenchResult>
     where
-        F: FnMut(&mut Bencher, &I),
+        F: FnOnce(&mut Bencher),
     {
-        let id = id.into();
-        let name = format!("{}/{}", self.name, id.id);
-        let throughput = self.throughput;
-        self.criterion.run_one(name, throughput, |b| f(b, input));
-        self
+        self.criterion.run_one(format!("{}/{id}", self.name), f)
     }
 
     /// Ends the group (kept for API compatibility).
     pub fn finish(self) {}
-}
-
-fn report(result: &BenchResult, throughput: Option<Throughput>) {
-    let human = human_time(result.median_ns);
-    let rate = match throughput {
-        Some(Throughput::Bytes(n)) => {
-            let gib = n as f64 / result.median_ns * 1e9 / (1024.0 * 1024.0 * 1024.0);
-            format!("  thrpt: {gib:.3} GiB/s")
-        }
-        Some(Throughput::Elements(n)) => {
-            let eps = n as f64 / result.median_ns * 1e9;
-            format!("  thrpt: {eps:.0} elem/s")
-        }
-        None => String::new(),
-    };
-    println!(
-        "{:<48} time: [{human} median, {} min, {} samples]{rate}",
-        result.name,
-        human_time(result.min_ns),
-        result.samples,
-    );
-    if let Ok(path) = std::env::var("WIFIPRINT_BENCH_JSON") {
-        if let Ok(mut f) =
-            std::fs::OpenOptions::new().create(true).append(true).open(path)
-        {
-            let _ = writeln!(
-                f,
-                "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{}}}",
-                result.name, result.median_ns, result.mean_ns, result.min_ns, result.samples,
-            );
-        }
-    }
 }
 
 fn human_time(ns: f64) -> String {
@@ -305,19 +191,12 @@ fn human_time(ns: f64) -> String {
     }
 }
 
-/// Declares a bench group: either `criterion_group!(name, target, …)` or
-/// the long form with an explicit `config = …` constructor.
+/// Declares a bench group with an explicit `config = …` constructor.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut criterion: $crate::Criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
             $($target(&mut criterion);)+
         }
     };
@@ -337,43 +216,28 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
-    fn spin(c: &mut Criterion) {
-        c.bench_function("spin_tiny", |b| b.iter(|| black_box(3u64).wrapping_mul(7)));
+    fn criterion(filters: Vec<String>) -> Criterion {
+        Criterion { sample_size: 3, warm_up: Duration::from_millis(1), filters }
     }
 
     #[test]
     fn measures_and_records() {
-        let mut c = Criterion {
-            sample_size: 3,
-            warm_up: Duration::from_millis(1),
-            filters: Vec::new(),
-            results: Vec::new(),
-        };
-        spin(&mut c);
-        assert_eq!(c.results().len(), 1);
-        let r = &c.results()[0];
-        assert_eq!(r.name, "spin_tiny");
+        let mut c = criterion(Vec::new());
+        let g = c.benchmark_group("grp");
+        let r = g.run("spin_tiny", |b| b.iter(|| black_box(3u64).wrapping_mul(7))).unwrap();
+        assert_eq!(r.name, "grp/spin_tiny");
+        assert_eq!(r.samples, 3);
         assert!(r.median_ns > 0.0);
         assert!(r.min_ns <= r.median_ns);
     }
 
     #[test]
     fn groups_qualify_names_and_filters_apply() {
-        let mut c = Criterion {
-            sample_size: 2,
-            warm_up: Duration::from_millis(1),
-            filters: vec!["wanted".into()],
-            results: Vec::new(),
-        };
-        {
-            let mut g = c.benchmark_group("grp");
-            g.throughput(Throughput::Elements(10));
-            g.bench_function("wanted", |b| b.iter(|| black_box(1u32) + 1));
-            g.bench_function("skipped", |b| b.iter(|| black_box(1u32) + 1));
-            g.finish();
-        }
-        assert_eq!(c.results().len(), 1);
-        assert_eq!(c.results()[0].name, "grp/wanted");
+        let mut c = criterion(vec!["wanted".into()]);
+        let g = c.benchmark_group("grp");
+        let wanted = g.run("wanted", |b| b.iter(|| black_box(1u32) + 1));
+        assert_eq!(wanted.map(|r| r.name).as_deref(), Some("grp/wanted"));
+        assert!(g.run("skipped", |b| b.iter(|| black_box(1u32) + 1)).is_none());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! Everything is deterministic in the seed, and the archetype mixes are
 //! heterogeneous on purpose: tight single-peak `IoT` devices shard far
 //! from broad video mixes, so shard summaries stay tight and the pruned
-//! sweep's win is measurable end-to-end (`perf_snapshot`'s
-//! `sharded_sweep_speedup`).
+//! sweep's win is measurable end-to-end (capbench's `metropolis_linking`
+//! workload: `throughput_per_s` and `linker.pruned_fraction`).
 
 use std::collections::BTreeMap;
 
@@ -292,6 +292,18 @@ mod tests {
                 stats.pruned_fraction()
             );
         }
+    }
+
+    /// The `u8` tier's resident footprint at the linking gate's store
+    /// shape (64 shards). `row_bytes` is a deterministic sum of slice
+    /// sizes, so the pin is exact on every host.
+    #[test]
+    fn metropolis_u8_store_footprint_is_pinned() {
+        let scenario = MetropolisScenario::with_devices(17, 2000);
+        let u8_bytes = scenario.reference_db(MatchConfig::quantized().with_shards(64)).row_bytes();
+        let f32_bytes = scenario.reference_db(MatchConfig::default().with_shards(64)).row_bytes();
+        assert_eq!(u8_bytes, 498_864, "u8 store of 2 000 devices at 64 shards");
+        assert!(2 * u8_bytes <= f32_bytes, "u8 {u8_bytes} B vs f32 {f32_bytes} B");
     }
 
     #[test]
